@@ -1,5 +1,7 @@
 #include "common/timestamp_arena.hpp"
 
+#include <algorithm>
+
 #include "common/pool.hpp"
 #include "common/ts_simd.hpp"
 
@@ -152,6 +154,26 @@ void SoaStripes::relate_many(std::span<const std::uint64_t> probe,
     }
     simd::relate_many_stripes(slab_.words.get(), rows_, width_, probe.data(),
                               out.data());
+}
+
+void SoaStripes::order_masks(std::span<const std::uint64_t> probe,
+                             std::size_t rows,
+                             std::span<std::uint64_t> lt_words,
+                             std::span<std::uint64_t> gt_words) const {
+    SYNCTS_REQUIRE(probe.size() == width_,
+                   "probe width does not match the stripe width");
+    SYNCTS_REQUIRE(rows <= rows_, "row prefix exceeds the stripe rows");
+    const std::size_t words = (rows + 63) / 64;
+    SYNCTS_REQUIRE(lt_words.size() == words && gt_words.size() == words,
+                   "mask size does not match the row prefix");
+    if (width_ == 0) {
+        // Zero-width stamps are all equal: no strict order either way.
+        std::fill(lt_words.begin(), lt_words.end(), 0);
+        std::fill(gt_words.begin(), gt_words.end(), 0);
+        return;
+    }
+    simd::order_masks_stripes(slab_.words.get(), rows, width_, probe.data(),
+                              lt_words.data(), gt_words.data());
 }
 
 std::vector<TsHandle> SoaStripes::dominators_of(

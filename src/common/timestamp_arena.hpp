@@ -513,6 +513,14 @@ public:
     std::vector<TsHandle> dominators_of(
         std::span<const std::uint64_t> probe) const;
 
+    /// Strict-order masks of rows [0, rows) against probe, one bit per
+    /// row: lt_words bit i = (row i < probe), gt_words bit i = (probe <
+    /// row i). Both spans hold exactly ceil(rows/64) words; bits at and
+    /// above `rows` come back zero.
+    void order_masks(std::span<const std::uint64_t> probe, std::size_t rows,
+                     std::span<std::uint64_t> lt_words,
+                     std::span<std::uint64_t> gt_words) const;
+
 private:
     std::size_t width_ = 0;
     std::size_t rows_ = 0;

@@ -1,5 +1,6 @@
 #include "common/ts_simd.hpp"
 
+#include <algorithm>
 #include <span>
 
 #include "common/ts_kernels.hpp"
@@ -92,6 +93,32 @@ void relate_many_stripes_scalar(const std::uint64_t* stripes,
         }
         out[i] = static_cast<std::uint8_t>((row_above ? 0 : ts::kRowLeq) |
                                            (probe_above ? 0 : ts::kProbeLeq));
+    }
+}
+
+void order_masks_stripes_scalar(const std::uint64_t* stripes,
+                                std::size_t rows, std::size_t width,
+                                const std::uint64_t* probe,
+                                std::uint64_t* lt_words,
+                                std::uint64_t* gt_words) noexcept {
+    constexpr std::size_t kLane = 4;
+    const std::size_t words = (rows + 63) / 64;
+    std::fill_n(lt_words, words, 0);
+    std::fill_n(gt_words, words, 0);
+    for (std::size_t i = 0; i < rows; ++i) {
+        const std::uint64_t* base =
+            stripes + (i / kLane) * width * kLane + i % kLane;
+        bool row_above = false;
+        bool probe_above = false;
+        for (std::size_t k = 0; k < width && !(row_above && probe_above);
+             ++k) {
+            const std::uint64_t row = base[k * kLane];
+            row_above |= row > probe[k];
+            probe_above |= probe[k] > row;
+        }
+        const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+        if (probe_above && !row_above) lt_words[i / 64] |= bit;
+        if (row_above && !probe_above) gt_words[i / 64] |= bit;
     }
 }
 
@@ -348,6 +375,65 @@ __attribute__((target("avx2"))) void relate_many_stripes_avx2(
     }
 }
 
+__attribute__((target("avx2"))) void order_masks_stripes_avx2(
+    const std::uint64_t* stripes, std::size_t rows, std::size_t width,
+    const std::uint64_t* probe, std::uint64_t* lt_words,
+    std::uint64_t* gt_words) noexcept {
+    constexpr std::size_t kLane = 4;
+    constexpr std::size_t kStripesPerWord = 64 / kLane;
+    const __m256i sign =
+        _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ull));
+    const std::size_t num_stripes = (rows + kLane - 1) / kLane;
+    const std::size_t words = (rows + 63) / 64;
+    for (std::size_t w = 0; w < words; ++w) {
+        // One output word = 16 stripes; each stripe's two 4-bit lane
+        // masks land at its lane offset, so no byte flags are staged.
+        const std::size_t s_begin = w * kStripesPerWord;
+        const std::size_t s_end =
+            std::min(num_stripes, s_begin + kStripesPerWord);
+        std::uint64_t lt = 0;
+        std::uint64_t gt = 0;
+        for (std::size_t s = s_begin; s < s_end; ++s) {
+            const std::uint64_t* base = stripes + s * width * kLane;
+            __m256i row_gt = _mm256_setzero_si256();
+            __m256i probe_gt = _mm256_setzero_si256();
+            for (std::size_t k = 0; k < width; ++k) {
+                const __m256i vp = _mm256_xor_si256(
+                    _mm256_set1_epi64x(static_cast<long long>(probe[k])),
+                    sign);
+                const __m256i vr = _mm256_xor_si256(
+                    _mm256_loadu_si256(
+                        reinterpret_cast<const __m256i*>(base + k * kLane)),
+                    sign);
+                row_gt = _mm256_or_si256(row_gt, _mm256_cmpgt_epi64(vr, vp));
+                probe_gt =
+                    _mm256_or_si256(probe_gt, _mm256_cmpgt_epi64(vp, vr));
+                // Every lane concurrent in both directions — resolved.
+                if (_mm256_movemask_epi8(_mm256_and_si256(row_gt, probe_gt)) ==
+                    -1) {
+                    break;
+                }
+            }
+            const auto row_above = static_cast<std::uint64_t>(
+                _mm256_movemask_pd(_mm256_castsi256_pd(row_gt)));
+            const auto probe_above = static_cast<std::uint64_t>(
+                _mm256_movemask_pd(_mm256_castsi256_pd(probe_gt)));
+            const std::size_t shift = (s - s_begin) * kLane;
+            lt |= (probe_above & ~row_above) << shift;
+            gt |= (row_above & ~probe_above) << shift;
+        }
+        // Lanes at or above `rows` (pad lanes, or live rows past the
+        // requested prefix) must not leak into the last word.
+        if (w + 1 == words && rows % 64 != 0) {
+            const std::uint64_t live = (std::uint64_t{1} << (rows % 64)) - 1;
+            lt &= live;
+            gt &= live;
+        }
+        lt_words[w] = lt;
+        gt_words[w] = gt;
+    }
+}
+
 #else  // non-x86 hosts: the AVX2 names resolve to the scalar bodies.
 
 void leq_many_avx2(const std::uint64_t* slab, std::size_t rows,
@@ -379,6 +465,15 @@ void relate_many_stripes_avx2(const std::uint64_t* stripes,
                               const std::uint64_t* probe,
                               std::uint8_t* out) noexcept {
     relate_many_stripes_scalar(stripes, rows, width, probe, out);
+}
+
+void order_masks_stripes_avx2(const std::uint64_t* stripes,
+                              std::size_t rows, std::size_t width,
+                              const std::uint64_t* probe,
+                              std::uint64_t* lt_words,
+                              std::uint64_t* gt_words) noexcept {
+    order_masks_stripes_scalar(stripes, rows, width, probe, lt_words,
+                               gt_words);
 }
 
 #endif

@@ -23,6 +23,9 @@
 ///    component k of its four lanes at stripes[(s*width + k)*4 .. +4);
 ///    pad lanes of the last partial stripe are zero and their outputs
 ///    are not written.
+///  - Order masks: bit i of word i/64 is row i's flag; words past the
+///    last row are not written and bits at or above `rows` in the last
+///    word are zero.
 ///
 /// The unsigned 64-bit vector compare uses the classic sign-flip trick:
 /// x >u y  ⟺  (x ^ 2^63) >s (y ^ 2^63), since AVX2 only has a signed
@@ -77,6 +80,22 @@ void relate_many_stripes_avx2(const std::uint64_t* stripes,
                               const std::uint64_t* probe,
                               std::uint8_t* out) noexcept;
 
+/// Fused strict-order masks of stripe rows [0, rows) against `probe`:
+/// bit i of `lt_words` is row i < probe and bit i of `gt_words` is
+/// probe < row i, each written as ceil(rows/64) whole words — no byte
+/// flags in between, so a caller can XOR and popcount them against a
+/// bitset row directly. `rows` may be any prefix of the mirror.
+void order_masks_stripes_scalar(const std::uint64_t* stripes,
+                                std::size_t rows, std::size_t width,
+                                const std::uint64_t* probe,
+                                std::uint64_t* lt_words,
+                                std::uint64_t* gt_words) noexcept;
+void order_masks_stripes_avx2(const std::uint64_t* stripes,
+                              std::size_t rows, std::size_t width,
+                              const std::uint64_t* probe,
+                              std::uint64_t* lt_words,
+                              std::uint64_t* gt_words) noexcept;
+
 // ---- Dispatched entry points -----------------------------------------
 
 inline void leq_many(const std::uint64_t* slab, std::size_t rows,
@@ -127,6 +146,20 @@ inline void relate_many_stripes(const std::uint64_t* stripes,
         relate_many_stripes_avx2(stripes, rows, width, probe, out);
     } else {
         relate_many_stripes_scalar(stripes, rows, width, probe, out);
+    }
+}
+
+inline void order_masks_stripes(const std::uint64_t* stripes,
+                                std::size_t rows, std::size_t width,
+                                const std::uint64_t* probe,
+                                std::uint64_t* lt_words,
+                                std::uint64_t* gt_words) noexcept {
+    if (avx2_available()) {
+        order_masks_stripes_avx2(stripes, rows, width, probe, lt_words,
+                                 gt_words);
+    } else {
+        order_masks_stripes_scalar(stripes, rows, width, probe, lt_words,
+                                   gt_words);
     }
 }
 

@@ -1,5 +1,6 @@
 #include "core/causality.hpp"
 
+#include <bit>
 #include <numeric>
 
 #include "common/check.hpp"
@@ -98,20 +99,29 @@ std::size_t encoding_mismatches(const Poset& poset,
 std::size_t encoding_mismatches(const Poset& poset,
                                 const TimestampArena& stamps,
                                 const AnalysisOptions& options) {
-    return sharded_count(
-        stamps.size(), options, [&](std::size_t begin, std::size_t end) {
-            std::size_t mismatches = 0;
-            for (std::size_t a = begin; a < end; ++a) {
-                const auto row = stamps.span(static_cast<TsHandle>(a));
-                for (std::size_t b = 0; b < stamps.size(); ++b) {
-                    if (a == b) continue;
-                    const bool stamp_less =
-                        ts::less(row, stamps.span(static_cast<TsHandle>(b)));
-                    if (poset.less(a, b) != stamp_less) ++mismatches;
-                }
+    const std::size_t n = stamps.size();
+    SYNCTS_REQUIRE(poset.size() == n, "one timestamp per poset element");
+    // Row a: the fused kernel's "probe < row" mask is {b : stamps[a] <
+    // stamps[b]}, so XOR against up_set(a) leaves exactly the
+    // disagreeing pairs (the diagonal is clear in both).
+    const SoaStripes mirror(stamps);
+    const std::size_t words = (n + 63) / 64;
+    return sharded_count(n, options, [&](std::size_t begin, std::size_t end) {
+        std::vector<std::uint64_t> masks(2 * words);
+        const std::span<std::uint64_t> lt{masks.data(), words};
+        const std::span<std::uint64_t> gt{masks.data() + words, words};
+        std::size_t mismatches = 0;
+        for (std::size_t a = begin; a < end; ++a) {
+            mirror.order_masks(stamps.span(static_cast<TsHandle>(a)), n, lt,
+                               gt);
+            const DynBitset& up = poset.up_set(a);
+            for (std::size_t w = 0; w < words; ++w) {
+                mismatches += static_cast<std::size_t>(
+                    std::popcount(gt[w] ^ up.word(w)));
             }
-            return mismatches;
-        });
+        }
+        return mismatches;
+    });
 }
 
 std::vector<std::pair<std::size_t, std::size_t>> encoding_mismatch_pairs(

@@ -1,5 +1,7 @@
 #include "core/timestamped_trace.hpp"
 
+#include <bit>
+#include <functional>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -7,9 +9,7 @@
 
 #include "common/check.hpp"
 #include "common/ts_kernels.hpp"
-#include "core/causality.hpp"
 #include "poset/streaming_closure.hpp"
-#include "trace/ground_truth.hpp"
 
 namespace syncts {
 
@@ -118,26 +118,22 @@ std::size_t TimestampedTrace::concurrent_pair_count() const {
 
 std::size_t TimestampedTrace::verify_against_ground_truth(
     const AnalysisOptions& options) const {
-    // Ground-truth closure and the O(M²) pair sweep both run through the
-    // analysis options (serial by default). encoding_mismatches compares
-    // truth.less(a, b) against ts::less of the arena rows — exactly the
-    // precedes() predicate — with sharded row ranges reduced in order.
-    const Poset truth = message_poset(computation_, options);
-    return encoding_mismatches(truth, stamps_, options);
+    StreamedVerifyOptions streamed;
+    streamed.analysis = options;
+    return verify_against_ground_truth(streamed);
 }
 
 std::size_t TimestampedTrace::verify_against_ground_truth(
     const StreamedVerifyOptions& options) const {
-    const std::size_t n = num_messages();
-    if (n < options.min_streamed_messages) {
-        // Small trace: the batch bit matrix is cheaper than chunking and
-        // bit-identical, so it stays the default below the threshold.
-        return verify_against_ground_truth(options.analysis);
-    }
     SYNCTS_REQUIRE(options.chunk_rows > 0, "chunk_rows must be positive");
+    const std::size_t n = num_messages();
+    if (n == 0) return 0;
+    // Below the threshold the whole closure is one window of n rows.
+    const std::size_t window_rows =
+        n < options.min_streamed_messages ? n : options.chunk_rows;
 
     StreamingClosureOptions closure_options;
-    closure_options.chunk_rows = options.chunk_rows;
+    closure_options.chunk_rows = window_rows;
     closure_options.cached_chunks = 1;
     closure_options.spill = options.spill;
     closure_options.metrics = options.metrics;
@@ -147,54 +143,69 @@ std::size_t TimestampedTrace::verify_against_ground_truth(
     }
     closure.finish();
 
-    // Row-major sweep, one chunk window at a time. Window row b settles
-    // every ordered pair touching b and a smaller id: (a, b) against the
-    // truth bit, and (b, a) — impossible in commit order, so any
-    // ts::less hit is a mismatch. Each ordered pair is counted exactly
-    // once, so the total equals the batch a-outer/b-inner sweep; the sum
-    // is independent of grouping, so it is also thread-count invariant.
+    // Row b settles every ordered pair of b and a smaller id in one fused
+    // kernel call over the SoA mirror: the "row < probe" mask must equal
+    // the closure row (a ↦ b), and the "probe < row" mask must be empty
+    // (b ↦ a is impossible in commit order). Each ordered pair is counted
+    // exactly once, and the sum is independent of grouping, so it is
+    // thread-count and window-size invariant.
+    const SoaStripes mirror(stamps_);
+    const std::size_t max_words = StreamingClosure::row_words(
+        static_cast<MessageId>(n - 1));
     std::size_t mismatches = 0;
     std::optional<PoolLease> lease;
     if (options.analysis.parallel()) lease.emplace(options.analysis);
     std::vector<std::pair<MessageId, std::span<const std::uint64_t>>> window;
-    window.reserve(options.chunk_rows);
+    window.reserve(window_rows);
+    // Per-chunk mask scratch and partial counts grow once and are reused
+    // by every later window; partials reduce in chunk order.
+    std::vector<std::uint64_t> masks;
+    std::vector<std::size_t> partial;
+    const auto run_chunk = [&](std::size_t chunk, std::size_t begin,
+                               std::size_t end) {
+        std::uint64_t* scratch = masks.data() + chunk * 2 * max_words;
+        std::size_t count = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+            const auto [b, truth] = window[i];
+            const std::span<std::uint64_t> lt{scratch, truth.size()};
+            const std::span<std::uint64_t> gt{scratch + max_words,
+                                              truth.size()};
+            mirror.order_masks(stamps_.span(b), b, lt, gt);
+            for (std::size_t w = 0; w < truth.size(); ++w) {
+                count += static_cast<std::size_t>(
+                    std::popcount(lt[w] ^ truth[w]) + std::popcount(gt[w]));
+            }
+        }
+        partial[chunk] = count;
+    };
     const auto flush = [&]() {
         if (window.empty()) return;
-        const auto count_rows = [&](std::size_t begin, std::size_t end) {
-            std::size_t count = 0;
-            for (std::size_t i = begin; i < end; ++i) {
-                const MessageId b = window[i].first;
-                const std::span<const std::uint64_t> words = window[i].second;
-                const auto stamp_b = stamps_.span(b);
-                for (MessageId a = 0; a < b; ++a) {
-                    const bool truth = (words[a / 64] >> (a % 64)) & 1;
-                    const auto stamp_a = stamps_.span(a);
-                    if (truth != ts::less(stamp_a, stamp_b)) ++count;
-                    if (ts::less(stamp_b, stamp_a)) ++count;
-                }
-            }
-            return count;
-        };
-        if (!lease.has_value()) {
-            mismatches += count_rows(0, window.size());
+        const std::size_t rows = window.size();
+        const std::size_t chunks =
+            lease ? Pool::num_chunks(rows,
+                                     lease->pool().effective_grain(rows, 0))
+                  : 1;
+        masks.resize(chunks * 2 * max_words);
+        partial.assign(chunks, 0);
+        if (lease) {
+            // std::ref keeps the std::function wrapper allocation-free.
+            lease->pool().parallel_for_chunks(rows, 0, std::ref(run_chunk));
         } else {
-            const std::vector<std::size_t> partial =
-                lease->pool().map_chunks<std::size_t>(window.size(), 0,
-                                                      count_rows);
-            mismatches += std::accumulate(partial.begin(), partial.end(),
-                                          std::size_t{0});
+            run_chunk(0, 0, rows);
         }
+        mismatches +=
+            std::accumulate(partial.begin(), partial.end(), std::size_t{0});
         window.clear();
     };
-    // The window flushes exactly at chunk boundaries (same chunk_rows),
-    // so every collected span points into the currently loaded chunk;
-    // the tail flush runs before any further closure access, while the
-    // last chunk is still cached.
+    // The window flushes exactly at chunk boundaries (same row count), so
+    // every collected span points into the currently loaded chunk; the
+    // tail flush runs before any further closure access, while the last
+    // chunk is still cached.
     closure.for_each_row(
         0, static_cast<MessageId>(n),
         [&](MessageId m, std::span<const std::uint64_t> words) {
             window.emplace_back(m, words);
-            if (window.size() == options.chunk_rows) flush();
+            if (window.size() == window_rows) flush();
         });
     flush();
     return mismatches;

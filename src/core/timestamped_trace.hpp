@@ -26,11 +26,10 @@ namespace syncts {
 
 class SpillStore;
 
-/// Tuning for the spill-aware streamed verification path
-/// (docs/STREAMING.md). Defaults keep the batch sweep for small traces —
-/// below `min_streamed_messages` the full bit matrix is cheaper than any
-/// chunking — and bound closure-row residency to one `chunk_rows` window
-/// above it.
+/// Tuning for Theorem 4 verification (docs/STREAMING.md §4). There is
+/// one path at every size: a `StreamingClosure` builds the ground truth
+/// and its rows are checked window by window; the options only choose
+/// the window and where retired closure chunks live.
 struct StreamedVerifyOptions {
     /// Closure rows per retired chunk (and per verification window).
     std::size_t chunk_rows = 4096;
@@ -39,11 +38,13 @@ struct StreamedVerifyOptions {
     /// (still chunked — useful when no spill directory is available).
     SpillStore* spill = nullptr;
 
-    /// Below this message count, delegate to the batch in-memory sweep
-    /// (bit-identical either way; the batch path is faster).
+    /// Below this message count the closure is one window of all n rows
+    /// (`chunk_rows` is ignored); at or above it, windows of
+    /// `chunk_rows`. It picks only the window, never a second code path;
+    /// the count is identical either way.
     std::size_t min_streamed_messages = 16384;
 
-    /// Sharding for the per-window pair sweep; the count is bit-identical
+    /// Sharding for the per-window row sweep; the count is bit-identical
     /// to the serial sweep at every thread count.
     AnalysisOptions analysis = {};
 
@@ -105,21 +106,21 @@ public:
     std::size_t concurrent_pair_count() const;
 
     /// Checks Theorem 4 against ground truth (the transitively closed ▷
-    /// relation): returns the number of disagreeing pairs, 0 when the
-    /// timestamps encode the poset exactly. O(M²) — verification tool.
-    /// The ground-truth closure and the pair sweep both shard across the
-    /// analysis pool when `options` asks for threads; the count is
-    /// bit-identical to the serial sweep at every thread count.
+    /// relation): returns the number of disagreeing ordered pairs, 0 when
+    /// the timestamps encode the poset exactly. O(M²·d) — verification
+    /// tool. Forwards to the StreamedVerifyOptions overload with default
+    /// windows and `options` as its sharding.
     std::size_t verify_against_ground_truth(
         const AnalysisOptions& options = {}) const;
 
-    /// Spill-aware streamed verification: the ground truth is built by
-    /// the out-of-core `StreamingClosure` (chunks retired to
-    /// `options.spill` when set) and the pair sweep walks it one
-    /// chunk-window of rows at a time, so closure residency stays
-    /// O(chunk_rows · M/64) words instead of O(M²/64). The returned
-    /// count is bit-identical to the batch overload at every thread
-    /// count and chunk size.
+    /// The verifier: the ground truth is built by the out-of-core
+    /// `StreamingClosure` (chunks retired to `options.spill` when set),
+    /// and each closure row b is checked by one fused order-mask kernel
+    /// call over an SoA mirror of the stamps — "stamp a < stamp b" must
+    /// equal the closure bit for every a < b, and "stamp b < stamp a" must
+    /// never hold. Rows are swept one window at a time across the
+    /// analysis pool, so closure residency stays O(window · M/64) words.
+    /// The count is identical at every thread count and window size.
     std::size_t verify_against_ground_truth(
         const StreamedVerifyOptions& options) const;
 

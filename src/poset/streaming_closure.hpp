@@ -153,10 +153,4 @@ private:
     mutable obs::Gauge* metric_resident_ = nullptr;
 };
 
-/// True when a computation of `num_messages` should stay on the batch
-/// in-memory closure (the default below this threshold): the full bit
-/// matrix at this size costs under ~32 MB, cheaper than any spill
-/// traffic.
-inline constexpr std::size_t kStreamingClosureThreshold = 16384;
-
 }  // namespace syncts

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/region.hpp"
@@ -246,6 +248,147 @@ TEST(SimdDifferential, PartialStripePadLanesAreInert) {
             ASSERT_EQ(out[i], 1) << "rows " << rows << " i " << i;
         }
         ASSERT_EQ(out[rows], 0x7F) << "canary clobbered at rows " << rows;
+    }
+}
+
+// ---- Fused order-mask kernel -----------------------------------------
+
+/// Stripe mirror of `rows` random rows of `width` components (same value
+/// mix as make_case), plus a probe.
+struct MaskCase {
+    std::vector<std::uint64_t> slab;
+    std::vector<std::uint64_t> probe;
+    TimestampArena arena;
+};
+
+MaskCase make_mask_case(std::uint64_t seed, std::size_t width,
+                        std::size_t rows) {
+    Rng rng(seed);
+    const auto draw = [&]() -> std::uint64_t {
+        if (rng.chance(1, 10)) return rng();
+        return rng.below(4);
+    };
+    MaskCase c{{}, std::vector<std::uint64_t>(width), TimestampArena(width)};
+    for (auto& v : c.probe) v = draw();
+    c.slab.resize(rows * width);
+    for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t k = 0; k < width; ++k) {
+            // Every eighth row copies the probe: exact-equality lanes.
+            c.slab[i * width + k] = i % 8 == 5 ? c.probe[k] : draw();
+        }
+        c.arena.allocate(std::span<const std::uint64_t>{
+            c.slab.data() + i * width, width});
+    }
+    return c;
+}
+
+constexpr std::uint64_t kCanary = 0xC0FFEE0DDBA11ull;
+
+/// Runs one backend into canary-guarded buffers: the words past
+/// ceil(prefix/64) must survive untouched.
+template <typename Kernel>
+std::pair<std::vector<std::uint64_t>, std::vector<std::uint64_t>> run_masks(
+    Kernel kernel, const SoaStripes& stripes, std::size_t prefix,
+    std::span<const std::uint64_t> probe) {
+    const std::size_t words = (prefix + 63) / 64;
+    std::vector<std::uint64_t> lt(words + 1, kCanary);
+    std::vector<std::uint64_t> gt(words + 1, kCanary);
+    kernel(stripes.stripes().data(), prefix, stripes.width(), probe.data(),
+           lt.data(), gt.data());
+    EXPECT_EQ(lt[words], kCanary) << "lt canary clobbered, prefix " << prefix;
+    EXPECT_EQ(gt[words], kCanary) << "gt canary clobbered, prefix " << prefix;
+    lt.pop_back();
+    gt.pop_back();
+    return {lt, gt};
+}
+
+TEST(SimdDifferential, OrderMaskBackendsAreBitIdentical) {
+    // Row counts off every multiple of 4 (pad lanes) and 64 (tail word);
+    // prefixes shorter than the mirror leave live lanes past the prefix.
+    const std::size_t row_counts[] = {1, 2, 3, 5, 63, 65, 66, 131};
+    for (std::size_t width = 1; width <= 64; ++width) {
+        for (const std::size_t rows : row_counts) {
+            const std::uint64_t seed = width * 1000 + rows;
+            const MaskCase c = make_mask_case(seed, width, rows);
+            const SoaStripes stripes(c.arena);
+            for (const std::size_t prefix : {rows, rows - 1, rows / 2}) {
+                const auto scalar = run_masks(simd::order_masks_stripes_scalar,
+                                              stripes, prefix, c.probe);
+                const auto vec = run_masks(simd::order_masks_stripes_avx2,
+                                           stripes, prefix, c.probe);
+                ASSERT_EQ(scalar, vec) << "width " << width << " rows "
+                                       << rows << " prefix " << prefix;
+                // Reference semantics, independent of both backends.
+                for (std::size_t i = 0; i < 64 * scalar.first.size(); ++i) {
+                    const bool lt = (scalar.first[i / 64] >> (i % 64)) & 1;
+                    const bool gt = (scalar.second[i / 64] >> (i % 64)) & 1;
+                    bool want_lt = false;
+                    bool want_gt = false;
+                    if (i < prefix) {
+                        const std::span<const std::uint64_t> row{
+                            c.slab.data() + i * width, width};
+                        want_lt = ts::less(row, c.probe);
+                        want_gt = ts::less(c.probe, row);
+                    }
+                    ASSERT_EQ(lt, want_lt) << "width " << width << " prefix "
+                                           << prefix << " row " << i;
+                    ASSERT_EQ(gt, want_gt) << "width " << width << " prefix "
+                                           << prefix << " row " << i;
+                }
+                // The dispatched SoaStripes entry point agrees too.
+                std::vector<std::uint64_t> lt(scalar.first.size());
+                std::vector<std::uint64_t> gt(scalar.first.size());
+                stripes.order_masks(c.probe, prefix, lt, gt);
+                ASSERT_EQ(lt, scalar.first) << "width " << width;
+                ASSERT_EQ(gt, scalar.second) << "width " << width;
+            }
+        }
+    }
+}
+
+TEST(SimdDifferential, OrderMaskEarlyExitOnConcurrentStripes) {
+    // Rows concurrent with the probe from the first two components on:
+    // the AVX2 kernel stops loading a stripe once all four lanes are
+    // concurrent. Row 7 (the last lane of stripe 1) only turns concurrent
+    // at the last component, so its stripe must be read to the end
+    // (stopping early would report row 7 < probe). Row 9 is ordered below
+    // the probe.
+    const std::size_t kRowCounts[] = {4, 67, 130};
+    for (std::size_t width = 64; width <= 96; width += 8) {
+        for (const std::size_t rows : kRowCounts) {
+            MaskCase c = make_mask_case(width + rows, width, 0);
+            c.probe[0] = 5;
+            c.probe[1] = 0;
+            c.probe[width - 1] = 7;
+            Rng rng(width ^ rows);
+            for (std::size_t i = 0; i < rows; ++i) {
+                std::vector<std::uint64_t> row(width);
+                for (auto& v : row) v = rng.below(3);
+                row[0] = 4;
+                row[1] = 1;
+                if (i == 7 || i == 9) {
+                    row[0] = 0;
+                    row[1] = 0;
+                    for (std::size_t k = 2; k < width; ++k) {
+                        row[k] = std::min(row[k], c.probe[k]);
+                    }
+                }
+                if (i == 7) row[width - 1] = 8;
+                c.arena.allocate(row);
+            }
+            const SoaStripes stripes(c.arena);
+            const auto scalar = run_masks(simd::order_masks_stripes_scalar,
+                                          stripes, rows, c.probe);
+            const auto vec = run_masks(simd::order_masks_stripes_avx2,
+                                       stripes, rows, c.probe);
+            ASSERT_EQ(scalar, vec) << "width " << width << " rows " << rows;
+            for (std::size_t i = 0; i < rows; ++i) {
+                const bool lt = (scalar.first[i / 64] >> (i % 64)) & 1;
+                const bool gt = (scalar.second[i / 64] >> (i % 64)) & 1;
+                ASSERT_EQ(lt, i == 9) << "width " << width << " row " << i;
+                ASSERT_FALSE(gt) << "width " << width << " row " << i;
+            }
+        }
     }
 }
 

@@ -21,10 +21,10 @@
 #include "trace/trace_io.hpp"
 
 // The streaming/out-of-core acceptance suite (docs/STREAMING.md): the
-// frontier-retiring closure, the incremental precedence index, and the
-// spill-aware streamed verification must each be bit-identical to their
-// in-memory counterparts across 500 seeded schedules, with the batch
-// legs exercised at 1, 2 and 8 threads.
+// frontier-retiring closure and the incremental precedence index must
+// each be bit-identical to their in-memory counterparts, and the
+// Theorem 4 verifier must equal an independent scalar reference, across
+// 500 seeded schedules at 1, 2 and 8 threads.
 
 namespace syncts {
 namespace {
@@ -319,59 +319,111 @@ TEST_F(StreamingEquivalence, RetiredQueryWithoutClosureThrows) {
                  RetiredStampError);
 }
 
-// Streamed sharded verification must return the batch verdict exactly,
-// at every thread count and chunk size, clean or corrupted.
-TEST_F(StreamingEquivalence, VerifyStreamedMatchesBatchOver500Seeds) {
+// Independent scalar reference for Theorem 4: the batch message_poset
+// closure and the materialized VectorTimestamp pair loop. It shares no
+// code with the verifier (StreamingClosure rows checked by the fused SoA
+// order-mask kernel), so agreement pins the verifier, not a copy of it.
+std::size_t reference_mismatches(const SyncComputation& c,
+                                 const TimestampArena& stamps) {
+    std::vector<VectorTimestamp> materialized;
+    materialized.reserve(stamps.size());
+    for (MessageId m = 0; m < stamps.size(); ++m) {
+        materialized.emplace_back(stamps.span(m));
+    }
+    return encoding_mismatches(message_poset(c), materialized);
+}
+
+// Verifies `trace` at 1, 2 and 8 threads with `chunk_rows`-row windows
+// (spilling through `dir` when set), plus the default single-window
+// forwarder, and expects every count to equal `expected`.
+void expect_verify_equals(const TimestampedTrace& trace,
+                          const std::vector<AnalysisOptions>& all_options,
+                          std::size_t chunk_rows, const std::string* dir,
+                          std::size_t expected, const std::string& what) {
+    ASSERT_EQ(trace.verify_against_ground_truth(), expected) << what;
+    for (const AnalysisOptions& analysis : all_options) {
+        std::optional<SpillStore> store;
+        if (dir != nullptr) store.emplace(*dir);
+        StreamedVerifyOptions options;
+        options.chunk_rows = chunk_rows;
+        options.min_streamed_messages = 0;  // windows of chunk_rows rows
+        options.analysis = analysis;
+        options.spill = store ? &*store : nullptr;
+        ASSERT_EQ(trace.verify_against_ground_truth(options), expected)
+            << what << " threads " << analysis.threads << " chunk_rows "
+            << chunk_rows << (store ? " spilled" : "");
+    }
+}
+
+// The verifier must equal the scalar reference exactly at every thread
+// count and every window of 1..17 rows, in memory and spilled (seed % 17
+// and seed % 5 cover every pairing over 500 seeds).
+TEST_F(StreamingEquivalence, VerifyMatchesScalarReferenceOver500Seeds) {
     const std::string dir = spill_dir("verify_sweep");
     for (std::uint64_t seed = 0; seed < 500; ++seed) {
         const SyncComputation c = sweep_computation(seed);
         const SyncSystem system{Graph(c.topology())};
         const TimestampedTrace trace = system.analyze(c);
-        const std::size_t batch = trace.verify_against_ground_truth();
-
-        std::optional<SpillStore> store;
-        if (seed % 5 == 0) store.emplace(dir);
-        for (const AnalysisOptions& analysis : all_options()) {
-            StreamedVerifyOptions options;
-            options.chunk_rows = 1 + seed % 17;
-            options.min_streamed_messages = 0;  // force the streamed path
-            options.analysis = analysis;
-            options.spill = store ? &*store : nullptr;
-            ASSERT_EQ(trace.verify_against_ground_truth(options), batch)
-                << "seed " << seed << " threads " << analysis.threads;
-            if (store) {
-                // The sweep's closure chunks are scratch; clear them so
-                // the next leg starts from an empty store.
-                store.emplace(dir);
-            }
-        }
-        ASSERT_EQ(batch, 0u) << "seed " << seed;
+        const std::size_t reference = reference_mismatches(c, trace.stamps());
+        ASSERT_EQ(reference, 0u) << "seed " << seed;
+        expect_verify_equals(trace, all_options(), 1 + seed % 17,
+                             seed % 5 == 0 ? &dir : nullptr, reference,
+                             "seed " + std::to_string(seed));
     }
 }
 
-TEST_F(StreamingEquivalence, VerifyAgreesOnCorruptedStamps) {
-    for (std::uint64_t seed = 0; seed < 50; ++seed) {
-        const SyncComputation c = sweep_computation(seed);
-        const SyncSystem system{Graph(c.topology())};
-        const TimestampedTrace good = system.analyze(c);
-
-        // Wreck the first message's stamp: every component pinned to
-        // max, so pairs that truly order against message 0 misreport.
-        TimestampArena stamps = good.stamps();
-        for (auto& word : stamps.span(0)) word = ~std::uint64_t{0};
-        const TimestampedTrace corrupted(SyncComputation(c),
-                                         std::move(stamps));
-
-        const std::size_t batch = corrupted.verify_against_ground_truth();
-        EXPECT_GT(batch, 0u) << "seed " << seed;
-        for (const AnalysisOptions& analysis : all_options()) {
-            StreamedVerifyOptions options;
-            options.chunk_rows = 4;
-            options.min_streamed_messages = 0;
-            options.analysis = analysis;
-            ASSERT_EQ(corrupted.verify_against_ground_truth(options), batch)
-                << "seed " << seed << " threads " << analysis.threads;
+// Corrupted stamps: every way of breaking the encoding must be counted
+// exactly as the scalar reference counts it.
+TEST_F(StreamingEquivalence, VerifyMatchesScalarReferenceOnCorruptedStamps) {
+    const std::string dir = spill_dir("verify_corrupt");
+    struct Corruption {
+        const char* name;
+        void (*apply)(TimestampArena&);
+    };
+    const Corruption corruptions[] = {
+        // Every component of message 0 pinned to max.
+        {"all-max first",
+         [](TimestampArena& s) {
+             for (auto& word : s.span(0)) word = ~std::uint64_t{0};
+         }},
+        // A middle message zeroed: it now sits below everything.
+        {"zeroed middle",
+         [](TimestampArena& s) {
+             for (auto& word : s.span(static_cast<TsHandle>(s.size() / 2))) {
+                 word = 0;
+             }
+         }},
+        // Two messages given equal stamps: neither precedes the other.
+        {"equal pair",
+         [](TimestampArena& s) {
+             const auto from = s.span(static_cast<TsHandle>(s.size() / 3));
+             const auto to = s.span(static_cast<TsHandle>(s.size() - 1));
+             std::copy(from.begin(), from.end(), to.begin());
+         }},
+        // One component of one message bumped by one.
+        {"bumped component",
+         [](TimestampArena& s) {
+             const auto stamp = s.span(static_cast<TsHandle>(s.size() / 4));
+             stamp[stamp.size() / 2] += 1;
+         }},
+    };
+    for (const Corruption& corruption : corruptions) {
+        std::size_t detected = 0;
+        for (std::uint64_t seed = 0; seed < 50; ++seed) {
+            const SyncComputation c = sweep_computation(seed);
+            const SyncSystem system{Graph(c.topology())};
+            TimestampArena stamps = system.analyze(c).stamps();
+            corruption.apply(stamps);
+            const std::size_t reference = reference_mismatches(c, stamps);
+            detected += reference;
+            const TimestampedTrace corrupted(SyncComputation(c),
+                                             std::move(stamps));
+            expect_verify_equals(corrupted, all_options(), 1 + seed % 17,
+                                 seed % 5 == 0 ? &dir : nullptr, reference,
+                                 std::string(corruption.name) + " seed " +
+                                     std::to_string(seed));
         }
+        EXPECT_GT(detected, 0u) << corruption.name;
     }
 }
 

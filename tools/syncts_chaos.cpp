@@ -30,11 +30,15 @@
 // plan, and every epoch's timestamps must be bit-identical to a fresh
 // Fig. 5 run on that epoch's topology (docs/TOPOLOGY.md).
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "clocks/online_clock.hpp"
@@ -93,6 +97,21 @@ struct Config {
     std::exit(2);
 }
 
+[[noreturn]] void bad_value(const char* flag, std::string_view text) {
+    std::fprintf(stderr, "invalid value for %s: '%.*s'\n", flag,
+                 static_cast<int>(text.size()), text.data());
+    usage();
+}
+
+/// Whole-token unsigned decimal: no sign, no trailing text, no overflow.
+std::optional<std::uint64_t> parse_u64(std::string_view text) {
+    std::uint64_t value = 0;
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || stop != end) return std::nullopt;
+    return value;
+}
+
 Config parse_args(int argc, char** argv) {
     Config config;
     int i = 1;
@@ -104,55 +123,78 @@ Config parse_args(int argc, char** argv) {
         }
         return argv[++i];
     };
+    // Every numeric flag is one whole token, range-checked here, so a bad
+    // value is a usage error (exit 2) — never a silent default or a
+    // library precondition abort mid-run.
+    const auto count = [&](const char* flag,
+                           std::uint64_t min = 0) -> std::uint64_t {
+        const std::string_view text = next_value(flag);
+        const std::optional<std::uint64_t> value = parse_u64(text);
+        if (!value || *value < min) bad_value(flag, text);
+        return *value;
+    };
+    const auto probability = [&](const char* flag) -> double {
+        const std::string_view text = next_value(flag);
+        double value = 0.0;
+        const char* end = text.data() + text.size();
+        const auto [stop, ec] = std::from_chars(text.data(), end, value);
+        // The negated range test also rejects nan.
+        if (ec != std::errc{} || stop != end ||
+            !(value >= 0.0 && value <= 1.0)) {
+            bad_value(flag, text);
+        }
+        return value;
+    };
     for (; i < argc; ++i) {
         const std::string flag = argv[i];
         if (flag == "--schedules") {
-            config.schedules = std::strtoull(next_value("--schedules"),
-                                             nullptr, 10);
+            config.schedules = count("--schedules");
         } else if (flag == "--messages") {
-            config.messages = std::strtoull(next_value("--messages"),
-                                            nullptr, 10);
+            config.messages = count("--messages");
         } else if (flag == "--seed") {
-            config.seed = std::strtoull(next_value("--seed"), nullptr, 10);
+            config.seed = count("--seed");
         } else if (flag == "--drop") {
-            config.drop = std::strtod(next_value("--drop"), nullptr);
+            config.drop = probability("--drop");
         } else if (flag == "--dup") {
-            config.dup = std::strtod(next_value("--dup"), nullptr);
+            config.dup = probability("--dup");
         } else if (flag == "--corrupt") {
-            config.corrupt = std::strtod(next_value("--corrupt"), nullptr);
+            config.corrupt = probability("--corrupt");
         } else if (flag == "--delay") {
-            config.delay = std::strtod(next_value("--delay"), nullptr);
+            config.delay = probability("--delay");
         } else if (flag == "--jitter") {
-            config.jitter = std::strtoull(next_value("--jitter"), nullptr, 10);
+            config.jitter = count("--jitter");
         } else if (flag == "--latency") {
-            const std::string range = next_value("--latency");
+            const std::string_view range = next_value("--latency");
             const std::size_t colon = range.find(':');
-            if (colon == std::string::npos) usage();
-            config.latency_lo = std::strtoull(range.c_str(), nullptr, 10);
-            config.latency_hi =
-                std::strtoull(range.c_str() + colon + 1, nullptr, 10);
+            const std::optional<std::uint64_t> lo =
+                parse_u64(range.substr(0, colon));
+            const std::optional<std::uint64_t> hi =
+                colon == std::string_view::npos
+                    ? std::nullopt
+                    : parse_u64(range.substr(colon + 1));
+            if (!lo || !hi || *lo < 1 || *lo > *hi) {
+                bad_value("--latency", range);
+            }
+            config.latency_lo = *lo;
+            config.latency_hi = *hi;
         } else if (flag == "--reconfig") {
             config.reconfig = next_value("--reconfig");
         } else if (flag == "--crash") {
-            config.crash = std::strtoull(next_value("--crash"), nullptr, 10);
+            config.crash = count("--crash");
         } else if (flag == "--crash-downtime") {
-            config.crash_downtime =
-                std::strtoull(next_value("--crash-downtime"), nullptr, 10);
+            config.crash_downtime = count("--crash-downtime");
         } else if (flag == "--wal-flush") {
-            config.wal_flush = std::strtoull(next_value("--wal-flush"),
-                                             nullptr, 10);
+            config.wal_flush = count("--wal-flush", 1);
         } else if (flag == "--snap-every") {
-            config.snap_every = std::strtoull(next_value("--snap-every"),
-                                              nullptr, 10);
+            config.snap_every = count("--snap-every", 1);
         } else if (flag == "--window") {
-            config.window = std::strtoull(next_value("--window"), nullptr, 10);
+            config.window = count("--window", 1);
         } else if (flag == "--batch") {
             config.batch = true;
         } else if (flag == "--delta") {
             config.delta = true;
         } else if (flag == "--bandwidth") {
-            config.bandwidth = std::strtoull(next_value("--bandwidth"),
-                                             nullptr, 10);
+            config.bandwidth = count("--bandwidth");
         } else if (flag == "--quiet") {
             config.quiet = true;
         } else {

@@ -643,9 +643,10 @@ StreamingReport run_streaming(const Config& config,
         std::min<std::size_t>(report.window, report.messages);
     report.relations = closure.relation_count();
 
-    // Sharded spill-aware verification of the oracle stamps, bounded to
-    // one chunk window of closure rows (its own spill namespace so chunk
-    // ids cannot collide with the live ingestion closure's).
+    // Sharded spill-aware verification of the oracle stamps, in windows
+    // of chunk_rows closure rows from StreamedVerifyOptions'
+    // min_streamed_messages up (its own spill namespace so chunk ids
+    // cannot collide with the live ingestion closure's).
     std::unique_ptr<SpillStore> verify_spill;
     if (!config.spill_dir.empty()) {
         verify_spill = std::make_unique<SpillStore>(config.spill_dir +
@@ -657,7 +658,6 @@ StreamingReport run_streaming(const Config& config,
     StreamedVerifyOptions verify_options;
     verify_options.chunk_rows = report.chunk_rows;
     verify_options.spill = verify_spill.get();
-    verify_options.min_streamed_messages = 0;  // --stream forces the path
     verify_options.analysis.threads = config.threads;
     report.verify_mismatches =
         trace.verify_against_ground_truth(verify_options);
