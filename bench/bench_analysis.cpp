@@ -1,15 +1,17 @@
-// Experiment TAB-PAR — the parallel analysis engine.
+// Experiment TAB-PAR — the offline analyses.
 //
 // The offline analyses (ground-truth transitive closure, the O(M²)
 // encoding verification, repeated precedence queries) are the only parts
-// of the reproduction whose cost grows faster than the trace; this bench
-// measures what the work-stealing pool buys them. Each study runs the
-// same workload twice:
-//   serial   — AnalysisOptions{} (the pre-pool code path)
-//   parallel — the analyses sharded across a Pool at the machine's width
-// and reports wall ms for both plus the speedup. Determinism contract:
-// both legs must produce identical posets and identical mismatch counts
-// (checked here), so the speedup column is the only difference.
+// of the reproduction whose cost grows faster than the trace. For each
+// topology family the bench times:
+//   closure — message_poset, one serial leg (Poset::close is serial)
+//   verify  — the Theorem 4 sweep twice: serial (AnalysisOptions{}) and
+//             sharded across a Pool at the machine's width
+// and reports wall ms for each plus the verify speedup. Determinism
+// contract: both verify legs must produce identical mismatch counts
+// (checked here), so the speedup column is the only difference. Every
+// JSON row's "bench" key names its family (analysis_closure_complete16,
+// analysis_verify_tri8, ...); the two verify legs differ in "threads".
 //
 // A third section hammers PrecedenceIndex with K queries drawn from a
 // small pair pool, so repeats dominate: the memo turns the O(width)
@@ -29,14 +31,14 @@
 //
 // Usage: bench_analysis [messages] [threads] [stream_msgs] [budget_mb]
 //   messages     workload size per study (default 20000)
-//   threads      pool width for the parallel leg (default: hardware)
+//   threads      pool width for the pooled verify leg (default: hardware)
 //   stream_msgs  streamed-ingestion row size (default 2000000; the
 //                10M-trace acceptance run passes 10000000)
 //   budget_mb    absolute peak-RSS budget for the streamed row, on top
 //                of the always-on plateau-flatness gate (0 = plateau
 //                gate only, the default — sanitized builds inflate RSS)
 //
-// On a 1-core host the parallel leg still runs through the pool's
+// On a 1-core host the pooled verify leg still runs through the pool's
 // chunked path with a single participant, so the speedup column reads
 // ~1.0x — the point there is the determinism check, not the scaling.
 
@@ -45,6 +47,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -63,6 +66,11 @@ using namespace syncts;
 
 namespace {
 
+/// "<prefix>_<family>", the row's unique `bench` key.
+std::string row_name(const char* prefix, const char* family) {
+    return std::string(prefix) + "_" + family;
+}
+
 void study(const char* family, const Graph& g, std::size_t messages,
            std::uint64_t seed, Pool& pool) {
     Rng rng(seed);
@@ -78,51 +86,41 @@ void study(const char* family, const Graph& g, std::size_t messages,
 
     // Untimed warm-up closure: faulting in ~2·M²/8 bytes of bitset pages
     // dominates a cold first run, and the allocator hands the warmed
-    // pages to both timed legs once this Poset dies.
+    // pages to the timed closure once this Poset dies.
     { const Poset warmup = message_poset(c); (void)warmup.size(); }
 
-    // Closure: serial leg, then the level-synchronous blocked leg.
-    std::size_t serial_relations = 0;
-    const double closure_serial_ns = bench::measure_and_emit(
-        "analysis_closure", messages,
-        [&] { serial_relations = message_poset(c).relation_count(); }, 1);
-    std::size_t parallel_relations = 0;
+    // Closure: one serial leg — Poset::close has no pooled path.
     Poset truth(0);
-    const double closure_parallel_ns = bench::measure_and_emit(
-        "analysis_closure", messages,
-        [&] {
-            truth = message_poset(c, parallel);
-            parallel_relations = truth.relation_count();
-        },
-        pool.threads());
+    const double closure_ns = bench::measure_and_emit(
+        row_name("analysis_closure", family).c_str(), messages,
+        [&] { truth = message_poset(c); }, 1);
 
-    // Verification: the O(M²) Theorem 4 sweep over the same closed poset.
+    // Verification: the O(M²) Theorem 4 sweep over the closed poset.
+    const std::string verify = row_name("analysis_verify", family);
     std::size_t serial_mismatches = 0;
     const double verify_serial_ns = bench::measure_and_emit(
-        "analysis_verify", messages,
+        verify.c_str(), messages,
         [&] {
             serial_mismatches = encoding_mismatches(truth, trace.stamps());
         },
         1);
     std::size_t parallel_mismatches = 0;
     const double verify_parallel_ns = bench::measure_and_emit(
-        "analysis_verify", messages,
+        verify.c_str(), messages,
         [&] {
             parallel_mismatches =
                 encoding_mismatches(truth, trace.stamps(), parallel);
         },
         pool.threads());
 
-    const bool identical = serial_relations == parallel_relations &&
-                           serial_mismatches == parallel_mismatches;
     const double ms = static_cast<double>(messages) / 1e6;
-    std::printf("%-18s %6zu %2zu %9.1f %9.1f %7.2fx %9.1f %9.1f %7.2fx %s\n",
-                family, messages, pool.threads(), closure_serial_ns * ms,
-                closure_parallel_ns * ms,
-                closure_serial_ns / closure_parallel_ns, verify_serial_ns * ms,
+    std::printf("%-18s %6zu %2zu %9.1f %9zu %9.1f %9.1f %7.2fx %s\n", family,
+                messages, pool.threads(), closure_ns * ms,
+                truth.relation_count(), verify_serial_ns * ms,
                 verify_parallel_ns * ms, verify_serial_ns / verify_parallel_ns,
-                identical ? (serial_mismatches == 0 ? "exact" : "FAIL")
-                          : "DIVERGED");
+                serial_mismatches == parallel_mismatches
+                    ? (serial_mismatches == 0 ? "exact" : "FAIL")
+                    : "DIVERGED");
 }
 
 void query_study(const Graph& g, std::size_t messages, std::size_t queries,
@@ -145,18 +143,13 @@ void query_study(const Graph& g, std::size_t messages, std::size_t queries,
                            static_cast<MessageId>(rng.below(messages)));
     }
     std::size_t yes = 0;
-    const double ns = bench::measure_and_emit("analysis_queries", queries,
-                                              [&] {
-                                                  for (std::size_t q = 0;
-                                                       q < queries; ++q) {
-                                                      const auto& [m1, m2] =
-                                                          pairs[q % distinct];
-                                                      yes += index.precedes(
-                                                                 m1, m2)
-                                                                 ? 1u
-                                                                 : 0u;
-                                                  }
-                                              });
+    const double ns =
+        bench::measure_and_emit("analysis_queries_complete16", queries, [&] {
+            for (std::size_t q = 0; q < queries; ++q) {
+                const auto& [m1, m2] = pairs[q % distinct];
+                yes += index.precedes(m1, m2) ? 1u : 0u;
+            }
+        });
     const std::uint64_t lookups = index.memo_hits() + index.memo_misses();
     std::printf(
         "\nqueries: %zu lookups (%zu distinct pairs)  %0.1f ns/query  "
@@ -202,7 +195,7 @@ bool streaming_equivalence(const Graph& g, std::size_t messages,
     options.chunk_rows = 512;
     StreamingClosure closure(g.num_vertices(), messages, options);
     const double ns = bench::measure_and_emit(
-        "analysis_stream_closure", messages, [&] {
+        "analysis_stream_closure_complete16", messages, [&] {
             for (const SyncMessage& m : c.messages()) {
                 closure.ingest(m.sender, m.receiver);
             }
@@ -302,7 +295,7 @@ bool streaming_row(const Graph& g, std::size_t stream_msgs,
                                                : " (OVER BUDGET)"));
     // The canonical JSON shape plus the two streaming columns
     // tools/bench_to_json.sh back-fills for the other benches.
-    std::printf("{\"bench\":\"analysis_stream\",\"n\":%zu,"
+    std::printf("{\"bench\":\"analysis_stream_complete16\",\"n\":%zu,"
                 "\"ns_per_msg\":%.1f,\"allocs\":%zu,\"threads\":1,"
                 "\"epochs\":1,\"resident_mb\":%.1f,"
                 "\"stream_msgs_per_sec\":%.0f}\n",
@@ -328,17 +321,17 @@ int main(int argc, char** argv) {
     }
     Pool pool(threads);
 
-    std::printf("== TAB-PAR: parallel closure + verification (%zu threads) "
+    std::printf("== TAB-PAR: closure + parallel verification (%zu threads) "
                 "==\n\n",
                 pool.threads());
-    std::printf("%-18s %6s %2s %9s %9s %7s %9s %9s %7s %s\n", "family", "msgs",
-                "T", "close ms", "close ms", "speedup", "verify ms",
-                "verify ms", "speedup", "check");
-    std::printf("%-18s %6s %2s %9s %9s %7s %9s %9s %7s\n", "", "", "",
-                "(1T)", "(pool)", "", "(1T)", "(pool)", "");
+    std::printf("%-18s %6s %2s %9s %9s %9s %9s %7s %s\n", "family", "msgs",
+                "T", "close ms", "relations", "verify ms", "verify ms",
+                "speedup", "check");
+    std::printf("%-18s %6s %2s %9s %9s %9s %9s %7s\n", "", "", "", "(1T)", "",
+                "(1T)", "(pool)", "");
 
     Rng seeds(20002);
-    study("complete", topology::complete(16), messages, seeds(), pool);
+    study("complete16", topology::complete(16), messages, seeds(), pool);
     study("tri8", topology::disjoint_triangles(8), messages, seeds(), pool);
 
     query_study(topology::complete(16), messages, messages * 10, seeds());
@@ -350,15 +343,14 @@ int main(int argc, char** argv) {
 
     std::printf(
         "\nshape check: the check column must read 'exact' on every row —\n"
-        "serial and pooled legs must agree bit-for-bit on the closed poset\n"
-        "and on the mismatch count (the determinism contract in\n"
-        "docs/PARALLELISM.md), and the Theorem 4 sweep must find 0\n"
-        "mismatches. Speedups approach the thread count on multi-core\n"
-        "hosts once M clears ~20k messages; on 1 core both legs measure\n"
-        "the same code path modulo pool overhead. The TAB-STREAM rows\n"
-        "must read 'exact' and 'flat': the frontier-retiring closure is\n"
-        "bit-identical to the batch one, and streamed ingestion holds a\n"
-        "flat RSS plateau (docs/STREAMING.md) — any growth or budget\n"
-        "overrun makes this binary exit nonzero.\n");
+        "the serial and pooled verify legs must agree on the mismatch\n"
+        "count (the determinism contract in docs/PARALLELISM.md), and the\n"
+        "Theorem 4 sweep must find 0 mismatches. The closure is serial by\n"
+        "design (one two-sweep Poset::close); only the verify speedup\n"
+        "scales with the thread count, and on 1 core it reads ~1.0x. The\n"
+        "TAB-STREAM rows must read 'exact' and 'flat': the\n"
+        "frontier-retiring closure is bit-identical to the batch one, and\n"
+        "streamed ingestion holds a flat RSS plateau (docs/STREAMING.md) —\n"
+        "any growth or budget overrun makes this binary exit nonzero.\n");
     return (stream_exact && stream_flat) ? 0 : 1;
 }

@@ -34,7 +34,7 @@ OfflineResult offline_timestamps(const Poset& message_order,
 OfflineResult offline_timestamps(const SyncComputation& computation,
                                  bool minimize_dimension,
                                  const AnalysisOptions& analysis) {
-    return offline_timestamps(message_poset(computation, analysis),
+    return offline_timestamps(message_poset(computation),
                               computation.num_processes(),
                               minimize_dimension, analysis);
 }

@@ -42,7 +42,7 @@ public:
     /// Number of 64-bit words backing the set (ceil(size / 64)).
     std::size_t num_words() const noexcept { return words_.size(); }
 
-    /// Word i, bits [i*64, i*64+64) — the closure kernel's unit of work.
+    /// Word i, bits [i*64, i*64+64).
     std::uint64_t word(std::size_t i) const noexcept { return words_[i]; }
 
     /// words_[i] |= bits. The caller owns bit bookkeeping past size().
@@ -51,8 +51,7 @@ public:
     }
 
     /// this |= other over the word range [word_begin, word_end) only —
-    /// the blocked row-OR at the heart of the parallel transitive
-    /// closure. Returns the number of words touched.
+    /// the row-OR of Poset::close. Returns the number of words touched.
     std::size_t or_with(const DynBitset& other, std::size_t word_begin = 0,
                         std::size_t word_end = SIZE_MAX) noexcept;
 

@@ -15,9 +15,9 @@
 
 /// \file pool.hpp
 /// syncts::Pool — the analysis-side work-stealing thread pool, plus the
-/// AnalysisOptions knob every post-hoc pipeline (Poset::close, offline
-/// realizer validation, ground-truth verification, the batch precedence
-/// kernels) threads through.
+/// AnalysisOptions knob every post-hoc sweep (offline realizer
+/// validation, ground-truth verification, the batch precedence kernels)
+/// threads through. The ground-truth closure itself is serial.
 ///
 /// Model: a fixed set of worker threads parked on a condition variable;
 /// parallel_for splits an index range [0, n) into contiguous chunks,
@@ -56,8 +56,8 @@ struct AnalysisOptions {
     Pool* pool = nullptr;
 
     /// When set, analysis kernels register and bump their counters here
-    /// (analysis_tasks, closure_word_ops, ...). All analysis counters are
-    /// deterministic at a fixed thread count.
+    /// (analysis_tasks, ...). All analysis counters are deterministic at
+    /// a fixed thread count.
     obs::MetricsRegistry* metrics = nullptr;
 
     /// True when the caller asked for any parallel machinery.

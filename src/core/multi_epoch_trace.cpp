@@ -7,7 +7,6 @@
 
 #include "common/check.hpp"
 #include "common/ts_kernels.hpp"
-#include "trace/ground_truth.hpp"
 
 namespace syncts {
 
@@ -70,10 +69,8 @@ bool MultiEpochTrace::concurrent(GlobalMessageId m1,
                                     static_cast<MessageId>(m2 - offsets_[e1]));
 }
 
-Poset MultiEpochTrace::ground_truth_poset(
-    const AnalysisOptions& options) const {
+Poset MultiEpochTrace::ground_truth_poset() const {
     Poset truth(num_messages());
-    bool have_previous = false;
     std::vector<std::size_t> previous_maximal;  // global ids
     for (EpochId e = 0; e < segments_.size(); ++e) {
         const SyncComputation& computation = segments_[e].computation();
@@ -91,27 +88,35 @@ Poset MultiEpochTrace::ground_truth_poset(
         // Barrier generators: maximal(previous non-empty epoch) ×
         // minimal(this epoch). Closure extends them to all-times-all —
         // every message sits below some maximal and above some minimal.
-        const Poset local = message_poset(computation, options);
-        if (have_previous) {
-            for (const std::size_t from : previous_maximal) {
-                for (const std::size_t to : local.minimal_elements()) {
-                    truth.add_relation(from, offset + to);
-                }
+        // A message is minimal iff it is the first participation of both
+        // its endpoints, and maximal iff it is the last of both.
+        std::vector<std::size_t> minimal;
+        std::vector<std::size_t> maximal;
+        for (const SyncMessage& m : computation.messages()) {
+            const auto at_sender = computation.process_messages(m.sender);
+            const auto at_receiver =
+                computation.process_messages(m.receiver);
+            if (at_sender.front() == m.id && at_receiver.front() == m.id) {
+                minimal.push_back(offset + m.id);
+            }
+            if (at_sender.back() == m.id && at_receiver.back() == m.id) {
+                maximal.push_back(offset + m.id);
             }
         }
-        previous_maximal.clear();
-        for (const std::size_t m : local.maximal_elements()) {
-            previous_maximal.push_back(offset + m);
+        for (const std::size_t from : previous_maximal) {
+            for (const std::size_t to : minimal) {
+                truth.add_relation(from, to);
+            }
         }
-        have_previous = true;
+        previous_maximal = std::move(maximal);
     }
-    truth.close(options);
+    truth.close();
     return truth;
 }
 
 std::size_t MultiEpochTrace::verify_against_ground_truth(
     const AnalysisOptions& options) const {
-    const Poset truth = ground_truth_poset(options);
+    const Poset truth = ground_truth_poset();
     const std::size_t n = num_messages();
     // Pure per-row sweep, reduced in chunk order — bit-identical to the
     // serial scan at any thread count (docs/PARALLELISM.md).

@@ -79,9 +79,9 @@ public:
     /// The reference order over global ids, built from the realized
     /// computations alone (no timestamps): per-process ▷ chains within
     /// each epoch plus maximal×minimal barrier generators between
-    /// consecutive non-empty epochs, transitively closed through
-    /// `options`.
-    Poset ground_truth_poset(const AnalysisOptions& options = {}) const;
+    /// consecutive non-empty epochs, transitively closed by
+    /// Poset::close.
+    Poset ground_truth_poset() const;
 
     /// Number of ordered pairs on which precedes() disagrees with the
     /// ground-truth closure (0 ⟺ the per-epoch timestamps plus the

@@ -1,6 +1,5 @@
 #include "poset/poset.hpp"
 
-#include <algorithm>
 #include <vector>
 
 namespace syncts {
@@ -14,113 +13,46 @@ void Poset::add_relation(std::size_t a, std::size_t b) {
     direct_[a].push_back(b);
 }
 
-void Poset::close(const AnalysisOptions& options) {
+void Poset::close() {
     SYNCTS_REQUIRE(!closed_, "poset already closed");
 
-    // Kahn topological sort over the generating edges, tracking each
-    // element's level (longest generating path from a minimal element).
-    // Rows within one level have all their predecessors in strictly lower
-    // levels, so a level is the unit of parallelism below.
+    // Kahn topological sort over the generating edges; elements left
+    // unsorted sit on a cycle.
     std::vector<std::size_t> indegree(n_, 0);
     for (std::size_t a = 0; a < n_; ++a) {
         for (const std::size_t b : direct_[a]) ++indegree[b];
     }
-    std::vector<std::size_t> queue;
-    queue.reserve(n_);
+    std::vector<std::size_t> order;
+    order.reserve(n_);
     for (std::size_t v = 0; v < n_; ++v) {
-        if (indegree[v] == 0) queue.push_back(v);
+        if (indegree[v] == 0) order.push_back(v);
     }
-    std::vector<std::size_t> level(n_, 0);
-    std::size_t num_levels = n_ == 0 ? 0 : 1;
-    std::size_t sorted = 0;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-        const std::size_t v = queue[head];
-        ++sorted;
-        for (const std::size_t w : direct_[v]) {
-            if (level[v] + 1 > level[w]) {
-                level[w] = level[v] + 1;
-                if (level[w] + 1 > num_levels) num_levels = level[w] + 1;
-            }
-            if (--indegree[w] == 0) queue.push_back(w);
+    for (std::size_t head = 0; head < order.size(); ++head) {
+        for (const std::size_t w : direct_[order[head]]) {
+            if (--indegree[w] == 0) order.push_back(w);
         }
     }
-    SYNCTS_REQUIRE(sorted == n_,
+    SYNCTS_REQUIRE(order.size() == n_,
                    "generating relation has a cycle: not a partial order");
 
-    // Bucket rows by level, ascending index within a level.
-    std::vector<std::vector<std::size_t>> by_level(num_levels);
-    for (std::size_t v = 0; v < n_; ++v) by_level[level[v]].push_back(v);
-
-    // Sparse predecessor lists drive the row-OR kernel.
-    std::vector<std::vector<std::size_t>> preds(n_);
-    for (std::size_t a = 0; a < n_; ++a) {
-        for (const std::size_t b : direct_[a]) preds[b].push_back(a);
-    }
-
-    obs::Counter* word_ops =
-        options.metrics != nullptr
-            ? &options.metrics->counter("closure_word_ops")
-            : nullptr;
-
+    // Forward sweep: a's down-set is final once every predecessor has
+    // pushed into it, so it can be pushed on to a's direct successors.
     below_.assign(n_, DynBitset(n_));
-    const auto close_rows = [&](const std::vector<std::size_t>& rows,
-                                std::size_t begin, std::size_t end) {
-        std::size_t ops = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-            const std::size_t b = rows[i];
-            DynBitset& row = below_[b];
-            for (const std::size_t a : preds[b]) {
-                ops += row.or_with(below_[a]);
-                row.set(a);
-            }
+    for (const std::size_t a : order) {
+        for (const std::size_t b : direct_[a]) {
+            below_[b].or_with(below_[a]);
+            below_[b].set(a);
         }
-        if (word_ops != nullptr && ops != 0) {
-            word_ops->inc(static_cast<std::uint64_t>(ops));
-        }
-    };
-
+    }
+    // Reverse sweep, the mirror image: a's up-set is the union of its
+    // direct successors' up-sets, each already final.
     above_.assign(n_, DynBitset(n_));
-    // Blocked transpose: a chunk owns the word range [word_begin,
-    // word_end) of every below_ row, i.e. the above_ rows for elements
-    // a in [word_begin*64, word_end*64) — each above_ row is written by
-    // exactly one chunk.
-    const std::size_t words_per_row = (n_ + 63) / 64;
-    const auto transpose_words = [&](std::size_t word_begin,
-                                     std::size_t word_end) {
-        for (std::size_t b = 0; b < n_; ++b) {
-            const DynBitset& row = below_[b];
-            for (std::size_t w = word_begin; w < word_end; ++w) {
-                std::uint64_t bits = row.word(w);
-                while (bits != 0) {
-                    const auto bit =
-                        static_cast<unsigned>(__builtin_ctzll(bits));
-                    above_[w * 64 + bit].set(b);
-                    bits &= bits - 1;
-                }
-            }
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+        const std::size_t a = *it;
+        for (const std::size_t b : direct_[a]) {
+            above_[a].or_with(above_[b]);
+            above_[a].set(b);
         }
-    };
-
-    if (!options.parallel() || n_ < 2) {
-        for (const auto& rows : by_level) close_rows(rows, 0, rows.size());
-        // Block the transpose even when serial: a 32-word block keeps the
-        // write window to 2048 above_ rows (~5 MB at n = 20k) instead of
-        // scattering across the whole matrix — worth ~3x wall time on
-        // large closures.
-        constexpr std::size_t kBlockWords = 32;
-        for (std::size_t w = 0; w < words_per_row; w += kBlockWords) {
-            transpose_words(w, std::min(words_per_row, w + kBlockWords));
-        }
-    } else {
-        PoolLease lease(options);
-        Pool& pool = lease.pool();
-        for (const auto& rows : by_level) {
-            pool.parallel_for(rows.size(), 0,
-                              [&](std::size_t begin, std::size_t end) {
-                                  close_rows(rows, begin, end);
-                              });
-        }
-        pool.parallel_for(words_per_row, 0, transpose_words);
     }
     closed_ = true;
 }

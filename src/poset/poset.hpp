@@ -5,7 +5,6 @@
 
 #include "common/check.hpp"
 #include "common/dyn_bitset.hpp"
-#include "common/pool.hpp"
 
 /// \file poset.hpp
 /// Finite irreflexive poset over elements 0..n-1, stored as full
@@ -33,15 +32,11 @@ public:
     /// std::invalid_argument when the generating relation has a cycle
     /// (i.e., it does not define a partial order).
     ///
-    /// The closure is a level-synchronous blocked bit-matrix sweep: rows
-    /// are grouped by longest-path depth, and within one level every row
-    /// is the word-wise OR of its predecessors' rows (below_[b] =
-    /// ∪_{a ∈ preds(b)} below_[a] ∪ {a}) — rows of one level depend only
-    /// on lower levels, so the level's row block fans out across the
-    /// analysis pool. The result is bit-identical at every thread count
-    /// (set union is schedule-independent).
-    void close(const AnalysisOptions& options);
-    void close() { close(AnalysisOptions{}); }
+    /// Two serial word-OR sweeps over a Kahn topological order: forward,
+    /// below_[b] |= below_[a] ∪ {a} for every generating edge a < b;
+    /// then in reverse, above_[a] |= above_[b] ∪ {b}. Each row is final
+    /// before any other row reads it.
+    void close();
 
     bool closed() const noexcept { return closed_; }
 

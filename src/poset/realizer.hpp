@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/pool.hpp"
 #include "poset/dilworth.hpp"
 #include "poset/poset.hpp"
 

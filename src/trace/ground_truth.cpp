@@ -3,7 +3,7 @@
 namespace syncts {
 
 Poset message_poset(const SyncComputation& computation,
-                    const AnalysisOptions& analysis) {
+                    const AnalysisOptions&) {
     Poset poset(computation.num_messages());
     // Consecutive participations within one process generate ▷; its
     // transitive closure is ↦. Non-consecutive same-process pairs follow
@@ -14,7 +14,7 @@ Poset message_poset(const SyncComputation& computation,
             poset.add_relation(msgs[i], msgs[i + 1]);
         }
     }
-    poset.close(analysis);
+    poset.close();
     return poset;
 }
 

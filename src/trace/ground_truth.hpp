@@ -2,6 +2,7 @@
 
 #include <cstddef>
 
+#include "common/pool.hpp"
 #include "poset/poset.hpp"
 #include "trace/computation.hpp"
 
@@ -14,10 +15,12 @@ namespace syncts {
 
 /// The poset (M, ↦) of Section 2 over the computation's messages:
 /// m1 ↦ m2 iff some chain of same-process precedences connects them.
-/// Elements are MessageIds. The transitive closure runs through
-/// `analysis` (serial by default; see docs/PARALLELISM.md).
+/// Elements are MessageIds. The closure is serial (Poset::close). The
+/// unnamed AnalysisOptions parameter is ignored; it remains only so
+/// that existing callers passing one, such as
+/// perfbench/pipeline_bench.cpp, still compile.
 Poset message_poset(const SyncComputation& computation,
-                    const AnalysisOptions& analysis = {});
+                    const AnalysisOptions& = {});
 
 /// Lamport happened-before over *all* events — messages (as single
 /// rendezvous instants, per the vertical-arrow model with

@@ -1,9 +1,9 @@
 // The parallel analysis engine's two promises, tested head-on:
 //   1. Pool runs every index exactly once, propagates exceptions, and
 //      hands map_chunks results back in chunk order.
-//   2. Every sharded analysis (Poset::close, offline_timestamps with
-//      dimension minimization, ground-truth verification, the
-//      PrecedenceIndex memo) is bit-identical to its serial path — over
+//   2. Every sharded analysis (offline_timestamps with dimension
+//      minimization, ground-truth verification, the PrecedenceIndex
+//      memo) is bit-identical to its serial path — over
 //      500 seeded workloads, at 1, 2 and 8 threads.
 // The equivalence sweeps share two long-lived pools so 500 seeds don't
 // spawn 1000 thread teams.
@@ -28,7 +28,6 @@
 #include "obs/metrics.hpp"
 #include "poset/poset.hpp"
 #include "trace/generator.hpp"
-#include "trace/ground_truth.hpp"
 
 namespace syncts {
 namespace {
@@ -162,52 +161,6 @@ SyncComputation sweep_computation(std::uint64_t seed) {
     WorkloadOptions options;
     options.num_messages = 20 + seed % 60;
     return random_computation(g, options, rng);
-}
-
-void expect_same_poset(const Poset& serial, const Poset& parallel,
-                       std::uint64_t seed) {
-    ASSERT_EQ(serial.size(), parallel.size()) << "seed " << seed;
-    ASSERT_EQ(serial.relation_count(), parallel.relation_count())
-        << "seed " << seed;
-    for (std::size_t v = 0; v < serial.size(); ++v) {
-        ASSERT_EQ(serial.down_set(v), parallel.down_set(v))
-            << "seed " << seed << " down set of " << v;
-        ASSERT_EQ(serial.up_set(v), parallel.up_set(v))
-            << "seed " << seed << " up set of " << v;
-    }
-}
-
-TEST(ParallelEquivalence, ClosureBitIdenticalOver500Seeds) {
-    SweepPools pools;
-    for (std::uint64_t seed = 0; seed < 500; ++seed) {
-        const SyncComputation c = sweep_computation(seed);
-        const Poset serial = message_poset(c);
-        for (AnalysisOptions options : pools.parallel_options()) {
-            const Poset parallel = message_poset(c, options);
-            expect_same_poset(serial, parallel, seed);
-        }
-    }
-}
-
-TEST(ParallelEquivalence, ClosureWordOpsMatchSerialCount) {
-    SweepPools pools;
-    for (std::uint64_t seed = 0; seed < 50; ++seed) {
-        const SyncComputation c = sweep_computation(seed);
-        obs::MetricsRegistry serial_registry;
-        AnalysisOptions serial;
-        serial.metrics = &serial_registry;
-        (void)message_poset(c, serial);
-        for (AnalysisOptions options : pools.parallel_options()) {
-            obs::MetricsRegistry registry;
-            options.metrics = &registry;
-            (void)message_poset(c, options);
-            // The word-OR total is a property of the poset, not of the
-            // schedule: same value at every thread count.
-            EXPECT_EQ(registry.counter("closure_word_ops").value(),
-                      serial_registry.counter("closure_word_ops").value())
-                << "seed " << seed;
-        }
-    }
 }
 
 TEST(ParallelEquivalence, OfflineTimestampsBitIdentical) {

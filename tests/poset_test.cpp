@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "poset/linear_extension.hpp"
 #include "poset/poset.hpp"
@@ -91,6 +94,75 @@ TEST(Poset, EmptyAndAntichain) {
     EXPECT_EQ(p.minimal_elements().size(), 5u);
     EXPECT_EQ(p.maximal_elements().size(), 5u);
     EXPECT_TRUE(p.incomparable(0, 4));
+}
+
+// Every digraph on n <= 4 labelled elements — all 2^(n(n-1)) arc sets,
+// 4096 at n = 4 — closed by Poset::close and by Floyd–Warshall. close()
+// throws exactly on the cyclic ones; on the rest every down-set, up-set,
+// the relation count and the minimal/maximal elements match the
+// reference.
+TEST(PosetClosure, ExhaustiveSmallDigraphs) {
+    for (std::size_t n = 0; n <= 4; ++n) {
+        std::vector<std::pair<std::size_t, std::size_t>> arcs;
+        for (std::size_t a = 0; a < n; ++a) {
+            for (std::size_t b = 0; b < n; ++b) {
+                if (a != b) arcs.emplace_back(a, b);
+            }
+        }
+        const std::uint64_t digraphs = std::uint64_t{1} << arcs.size();
+        for (std::uint64_t mask = 0; mask < digraphs; ++mask) {
+            Poset p(n);
+            std::vector<std::vector<bool>> reach(n, std::vector<bool>(n));
+            for (std::size_t i = 0; i < arcs.size(); ++i) {
+                if ((mask >> i) & 1) {
+                    p.add_relation(arcs[i].first, arcs[i].second);
+                    reach[arcs[i].first][arcs[i].second] = true;
+                }
+            }
+            for (std::size_t k = 0; k < n; ++k) {
+                for (std::size_t a = 0; a < n; ++a) {
+                    for (std::size_t b = 0; b < n; ++b) {
+                        if (reach[a][k] && reach[k][b]) reach[a][b] = true;
+                    }
+                }
+            }
+            bool cyclic = false;
+            for (std::size_t a = 0; a < n; ++a) cyclic = cyclic || reach[a][a];
+            if (cyclic) {
+                EXPECT_THROW(p.close(), std::invalid_argument)
+                    << "n " << n << " arcs " << mask;
+                continue;
+            }
+            ASSERT_NO_THROW(p.close()) << "n " << n << " arcs " << mask;
+
+            std::size_t relations = 0;
+            std::vector<std::size_t> minimal;
+            std::vector<std::size_t> maximal;
+            for (std::size_t a = 0; a < n; ++a) {
+                bool has_below = false;
+                bool has_above = false;
+                for (std::size_t b = 0; b < n; ++b) {
+                    ASSERT_EQ(p.down_set(b).test(a), reach[a][b])
+                        << "n " << n << " arcs " << mask << " down-set of "
+                        << b << " bit " << a;
+                    ASSERT_EQ(p.up_set(a).test(b), reach[a][b])
+                        << "n " << n << " arcs " << mask << " up-set of " << a
+                        << " bit " << b;
+                    relations += reach[a][b] ? 1 : 0;
+                    has_below = has_below || reach[b][a];
+                    has_above = has_above || reach[a][b];
+                }
+                if (!has_below) minimal.push_back(a);
+                if (!has_above) maximal.push_back(a);
+            }
+            EXPECT_EQ(p.relation_count(), relations)
+                << "n " << n << " arcs " << mask;
+            EXPECT_EQ(p.minimal_elements(), minimal)
+                << "n " << n << " arcs " << mask;
+            EXPECT_EQ(p.maximal_elements(), maximal)
+                << "n " << n << " arcs " << mask;
+        }
+    }
 }
 
 TEST(Poset, IsLinearExtension) {

@@ -19,6 +19,7 @@
 #include "test_util.hpp"
 #include "topo/reconfig.hpp"
 #include "topo/topology_manager.hpp"
+#include "trace/ground_truth.hpp"
 
 /// The epoch-versioned topology acceptance sweep (docs/TOPOLOGY.md):
 ///   (a) per-epoch timestamps are bit-identical to fresh runs on that
@@ -427,20 +428,25 @@ TEST(Topology, CrossEpochPrecedenceMatchesGroundTruthAtEveryThreadCount) {
             run_reconfigurable_protocol(manager, scripts, options));
         ASSERT_EQ(trace.num_epochs(), manager.num_epochs());
 
-        std::size_t relations = 0;
         for (const std::size_t threads : {1u, 2u, 8u}) {
             AnalysisOptions analysis;
             analysis.threads = threads;
             EXPECT_EQ(trace.verify_against_ground_truth(analysis), 0u)
                 << "seed " << seed << " threads " << threads;
-            const std::size_t count =
-                trace.ground_truth_poset(analysis).relation_count();
-            if (threads == 1) {
-                relations = count;
-            } else {
-                EXPECT_EQ(count, relations) << "threads " << threads;
-            }
         }
+        // The stitched closure holds each epoch's own order plus every
+        // cross-epoch pair, earlier epoch first.
+        std::size_t expected_relations = 0;
+        std::size_t earlier = 0;
+        for (EpochId e = 0; e < trace.num_epochs(); ++e) {
+            const SyncComputation& c = trace.segment(e).computation();
+            expected_relations +=
+                message_poset(c).relation_count() + earlier * c.num_messages();
+            earlier += c.num_messages();
+        }
+        EXPECT_EQ(trace.ground_truth_poset().relation_count(),
+                  expected_relations)
+            << "seed " << seed;
 
         // The repeated-query index answers exactly like the trace, with
         // cross-epoch pairs short-circuited by the barrier rule.

@@ -30,7 +30,6 @@
 // plan, and every epoch's timestamps must be bit-identical to a fresh
 // Fig. 5 run on that epoch's topology (docs/TOPOLOGY.md).
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,7 +37,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "clocks/online_clock.hpp"
@@ -48,6 +46,7 @@
 #include "runtime/synchronizer.hpp"
 #include "topo/reconfig.hpp"
 #include "topo/topology_manager.hpp"
+#include "flag_parse.hpp"
 #include "topo_spec.hpp"
 #include "trace/generator.hpp"
 
@@ -103,15 +102,6 @@ struct Config {
     usage();
 }
 
-/// Whole-token unsigned decimal: no sign, no trailing text, no overflow.
-std::optional<std::uint64_t> parse_u64(std::string_view text) {
-    std::uint64_t value = 0;
-    const char* end = text.data() + text.size();
-    const auto [stop, ec] = std::from_chars(text.data(), end, value);
-    if (ec != std::errc{} || stop != end) return std::nullopt;
-    return value;
-}
-
 Config parse_args(int argc, char** argv) {
     Config config;
     int i = 1;
@@ -129,21 +119,15 @@ Config parse_args(int argc, char** argv) {
     const auto count = [&](const char* flag,
                            std::uint64_t min = 0) -> std::uint64_t {
         const std::string_view text = next_value(flag);
-        const std::optional<std::uint64_t> value = parse_u64(text);
+        const std::optional<std::uint64_t> value = tools::parse_u64(text);
         if (!value || *value < min) bad_value(flag, text);
         return *value;
     };
     const auto probability = [&](const char* flag) -> double {
         const std::string_view text = next_value(flag);
-        double value = 0.0;
-        const char* end = text.data() + text.size();
-        const auto [stop, ec] = std::from_chars(text.data(), end, value);
-        // The negated range test also rejects nan.
-        if (ec != std::errc{} || stop != end ||
-            !(value >= 0.0 && value <= 1.0)) {
-            bad_value(flag, text);
-        }
-        return value;
+        const std::optional<double> value = tools::parse_probability(text);
+        if (!value) bad_value(flag, text);
+        return *value;
     };
     for (; i < argc; ++i) {
         const std::string flag = argv[i];
@@ -165,18 +149,10 @@ Config parse_args(int argc, char** argv) {
             config.jitter = count("--jitter");
         } else if (flag == "--latency") {
             const std::string_view range = next_value("--latency");
-            const std::size_t colon = range.find(':');
-            const std::optional<std::uint64_t> lo =
-                parse_u64(range.substr(0, colon));
-            const std::optional<std::uint64_t> hi =
-                colon == std::string_view::npos
-                    ? std::nullopt
-                    : parse_u64(range.substr(colon + 1));
-            if (!lo || !hi || *lo < 1 || *lo > *hi) {
-                bad_value("--latency", range);
-            }
-            config.latency_lo = *lo;
-            config.latency_hi = *hi;
+            const auto latency = tools::parse_latency(range);
+            if (!latency) bad_value("--latency", range);
+            config.latency_lo = latency->first;
+            config.latency_hi = latency->second;
         } else if (flag == "--reconfig") {
             config.reconfig = next_value("--reconfig");
         } else if (flag == "--crash") {

@@ -42,11 +42,11 @@
 // the cross-epoch ground-truth closure (docs/TOPOLOGY.md).
 //
 // --threads/--queries turn on the offline analysis section: the
-// ground-truth closure and Theorem 4 verification run sharded across a
-// T-wide analysis pool, and K seeded precedence queries hammer the
-// PrecedenceIndex memo (every answer re-checked against the direct
-// vector compare). Query/verification disagreements fold into the exit
-// status like stamp mismatches do.
+// ground-truth closure is built serially, Theorem 4 verification runs
+// sharded across a T-wide analysis pool, and K seeded precedence
+// queries hammer the PrecedenceIndex memo (every answer re-checked
+// against the direct vector compare). Query/verification disagreements
+// fold into the exit status like stamp mismatches do.
 //
 // The report is deterministic: same seed, same flags => byte-identical
 // counters (the registry snapshots in sorted name order; every random
@@ -68,6 +68,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "clocks/clock_engine.hpp"
@@ -91,6 +92,7 @@
 #include "runtime/synchronizer.hpp"
 #include "topo/reconfig.hpp"
 #include "topo/topology_manager.hpp"
+#include "flag_parse.hpp"
 #include "topo_spec.hpp"
 #include "trace/generator.hpp"
 #include "trace/ground_truth.hpp"
@@ -158,26 +160,27 @@ struct Config {
     std::exit(2);
 }
 
-/// Parses a --crash rule "P:STEP:DOWN".
-CrashRule parse_crash(const char* text) {
+[[noreturn]] void bad_value(const char* flag, std::string_view text) {
+    std::fprintf(stderr, "invalid value for %s: '%.*s'\n", flag,
+                 static_cast<int>(text.size()), text.data());
+    usage();
+}
+
+/// Parses a --crash rule "P:STEP:DOWN" (STEP >= 1).
+CrashRule parse_crash(const std::string& text) {
+    const std::vector<std::string> parts = tools::split(text, ':');
+    if (parts.size() != 3) bad_value("--crash", text);
+    const auto process = tools::parse_u64(parts[0]);
+    const auto step = tools::parse_u64(parts[1]);
+    const auto downtime = tools::parse_u64(parts[2]);
+    if (!process || *process > std::numeric_limits<ProcessId>::max() ||
+        !step || *step == 0 || !downtime) {
+        bad_value("--crash", text);
+    }
     CrashRule rule;
-    char* end = nullptr;
-    rule.process =
-        static_cast<ProcessId>(std::strtoull(text, &end, 10));
-    if (end == nullptr || *end != ':') {
-        std::fprintf(stderr, "bad crash rule '%s'\n", text);
-        usage();
-    }
-    rule.at_step = std::strtoull(end + 1, &end, 10);
-    if (end == nullptr || *end != ':') {
-        std::fprintf(stderr, "bad crash rule '%s'\n", text);
-        usage();
-    }
-    rule.downtime = std::strtoull(end + 1, &end, 10);
-    if (end == nullptr || *end != '\0' || rule.at_step == 0) {
-        std::fprintf(stderr, "bad crash rule '%s'\n", text);
-        usage();
-    }
+    rule.process = static_cast<ProcessId>(*process);
+    rule.at_step = *step;
+    rule.downtime = *downtime;
     return rule;
 }
 
@@ -205,6 +208,21 @@ Config parse_args(int argc, char** argv) {
         }
         return argv[++i];
     };
+    // Every numeric flag is one whole token, range-checked here, so a bad
+    // value is a usage error (exit 2), never a silent default.
+    const auto count = [&](const char* flag,
+                           std::uint64_t min = 0) -> std::uint64_t {
+        const std::string_view text = next_value(flag);
+        const std::optional<std::uint64_t> value = tools::parse_u64(text);
+        if (!value || *value < min) bad_value(flag, text);
+        return *value;
+    };
+    const auto probability = [&](const char* flag) -> double {
+        const std::string_view text = next_value(flag);
+        const std::optional<double> value = tools::parse_probability(text);
+        if (!value) bad_value(flag, text);
+        return *value;
+    };
     for (; i < argc; ++i) {
         const std::string flag = argv[i];
         if (flag == "--topology") {
@@ -212,36 +230,33 @@ Config parse_args(int argc, char** argv) {
         } else if (flag == "--events") {
             config.events = parse_events(next_value("--events"));
         } else if (flag == "--seed") {
-            config.seed = std::strtoull(next_value("--seed"), nullptr, 10);
+            config.seed = count("--seed");
         } else if (flag == "--runs") {
-            config.runs = std::strtoull(next_value("--runs"), nullptr, 10);
+            config.runs = count("--runs", 1);
         } else if (flag == "--drop") {
-            config.drop = std::strtod(next_value("--drop"), nullptr);
+            config.drop = probability("--drop");
         } else if (flag == "--dup") {
-            config.dup = std::strtod(next_value("--dup"), nullptr);
+            config.dup = probability("--dup");
         } else if (flag == "--corrupt") {
-            config.corrupt = std::strtod(next_value("--corrupt"), nullptr);
+            config.corrupt = probability("--corrupt");
         } else if (flag == "--delay") {
-            config.delay = std::strtod(next_value("--delay"), nullptr);
+            config.delay = probability("--delay");
         } else if (flag == "--jitter") {
-            config.jitter = std::strtoull(next_value("--jitter"), nullptr, 10);
+            config.jitter = count("--jitter");
         } else if (flag == "--latency") {
-            const std::string range = next_value("--latency");
-            const std::size_t colon = range.find(':');
-            if (colon == std::string::npos) usage();
-            config.latency_lo = std::strtoull(range.c_str(), nullptr, 10);
-            config.latency_hi =
-                std::strtoull(range.c_str() + colon + 1, nullptr, 10);
+            const std::string_view range = next_value("--latency");
+            const auto latency = tools::parse_latency(range);
+            if (!latency) bad_value("--latency", range);
+            config.latency_lo = latency->first;
+            config.latency_hi = latency->second;
         } else if (flag == "--trace") {
             config.trace_json_path = next_value("--trace");
         } else if (flag == "--trace-binary") {
             config.trace_binary_path = next_value("--trace-binary");
         } else if (flag == "--trace-capacity") {
-            config.trace_capacity =
-                std::strtoull(next_value("--trace-capacity"), nullptr, 10);
+            config.trace_capacity = count("--trace-capacity", 1);
         } else if (flag == "--threads") {
-            config.threads =
-                std::strtoull(next_value("--threads"), nullptr, 10);
+            config.threads = count("--threads", 1);
             config.analysis = true;
         } else if (flag == "--queries") {
             config.queries = parse_events(next_value("--queries"));
@@ -261,13 +276,11 @@ Config parse_args(int argc, char** argv) {
         } else if (flag == "--delta") {
             config.delta = true;
         } else if (flag == "--bandwidth") {
-            config.bandwidth = std::strtoull(next_value("--bandwidth"),
-                                             nullptr, 10);
+            config.bandwidth = count("--bandwidth");
         } else if (flag == "--stream") {
             config.stream = true;
         } else if (flag == "--max-resident-mb") {
-            config.max_resident_mb = std::strtoull(
-                next_value("--max-resident-mb"), nullptr, 10);
+            config.max_resident_mb = count("--max-resident-mb");
         } else if (flag == "--spill-dir") {
             config.spill_dir = next_value("--spill-dir");
         } else if (flag == "--ingest") {
@@ -282,10 +295,6 @@ Config parse_args(int argc, char** argv) {
             std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
             usage();
         }
-    }
-    if (config.runs == 0 || config.trace_capacity == 0 ||
-        config.threads == 0) {
-        usage();
     }
     return config;
 }
@@ -429,9 +438,9 @@ AnalysisReport run_analysis(const Config& config,
 
     const auto start = std::chrono::steady_clock::now();
 
-    // Ground truth (level-synchronous blocked closure) and the O(M²)
-    // Theorem 4 sweep, both sharded across the pool.
-    const Poset truth = message_poset(script, options);
+    // Ground truth (the serial two-sweep closure), then the O(M²)
+    // Theorem 4 sweep sharded across the pool.
+    const Poset truth = message_poset(script);
     report.poset_relations = truth.relation_count();
     report.verify_mismatches =
         encoding_mismatches(truth, oracle_arena, options);
@@ -488,7 +497,7 @@ AnalysisReport run_multi_analysis(const Config& config,
 
     const auto start = std::chrono::steady_clock::now();
     report.poset_relations =
-        trace.ground_truth_poset(options).relation_count();
+        trace.ground_truth_poset().relation_count();
     report.verify_mismatches = trace.verify_against_ground_truth(options);
 
     if (config.queries > 0) {
