@@ -10,11 +10,12 @@
 // extensions are built for — and reports bytes per message *including a
 // nominal 28-byte per-packet transport overhead* (IPv4 20 + UDP 8: the
 // cost a real deployment pays per packet, which batching amortizes),
-// packets per message, the batch factor (frames per wire packet), and
-// rendezvous throughput. Every run is verified bit-identical to the
-// direct Fig. 5 simulator. A final row repeats the full stack on a lossy
-// network: resyncs cost bytes but correctness and most of the savings
-// survive.
+// packets per message, the batch factor (frames per wire packet),
+// rendezvous throughput, and heap allocations per message (counted by
+// bench_json.hpp's allocator over the timed runs). Every run is verified
+// bit-identical to the direct Fig. 5 simulator. A final row repeats the
+// full stack on a lossy network: resyncs cost bytes but correctness and
+// most of the savings survive.
 
 #include <chrono>
 #include <cstdio>
@@ -41,6 +42,7 @@ struct Row {
     double packets_per_msg;
     double batch_factor;  // frames per wire packet
     double msgs_per_sec;
+    std::size_t allocs;  // heap allocations across the timed runs
     std::uint64_t acks_coalesced;
     std::uint64_t delta_frames;
     std::uint64_t delta_resyncs;
@@ -77,6 +79,7 @@ Row run_stack(const char* name, const SyncComputation& script,
             .packets_per_msg = 0,
             .batch_factor = 0,
             .msgs_per_sec = 0,
+            .allocs = 0,
             .acks_coalesced = 0,
             .delta_frames = 0,
             .delta_resyncs = 0,
@@ -85,6 +88,7 @@ Row run_stack(const char* name, const SyncComputation& script,
     std::uint64_t packets = 0;
     std::uint64_t frames = 0;
     std::uint64_t messages = 0;
+    const std::size_t allocs_before = bench::allocations();
     const auto start = std::chrono::steady_clock::now();
     for (int repeat = 1; repeat <= repeats; ++repeat) {
         SynchronizerOptions options;
@@ -111,6 +115,7 @@ Row run_stack(const char* name, const SyncComputation& script,
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
+    row.allocs = bench::allocations() - allocs_before;
     const double m = static_cast<double>(messages);
     row.payload_per_msg = static_cast<double>(bytes) / m;
     row.packets_per_msg = static_cast<double>(packets) / m;
@@ -122,17 +127,16 @@ Row run_stack(const char* name, const SyncComputation& script,
     return row;
 }
 
-void emit_protocol_json(const Row& row, std::size_t messages,
-                        double baseline_ns_per_msg) {
+void emit_protocol_json(const Row& row, std::size_t messages) {
     // Canonical bench_to_json.sh shape plus the two protocol columns;
     // ns_per_msg is derived from the row's own throughput so the merged
-    // table stays comparable across stacks.
-    (void)baseline_ns_per_msg;
+    // table stays comparable across stacks, and allocs counts every heap
+    // allocation of the row's timed runs.
     std::printf("{\"bench\":\"protocol_%s\",\"n\":%zu,\"ns_per_msg\":%.1f,"
                 "\"allocs\":%zu,\"threads\":1,\"epochs\":1,"
                 "\"bytes_per_msg\":%.1f,\"batch_factor\":%.2f}\n",
-                row.name, messages, 1e9 / row.msgs_per_sec,
-                static_cast<std::size_t>(0), row.bytes_per_msg,
+                row.name, messages, 1e9 / row.msgs_per_sec, row.allocs,
+                row.bytes_per_msg,
                 row.batch_factor);
 }
 
@@ -176,14 +180,18 @@ int main() {
     rows.push_back(run_stack("full_lossy", script, expected, decomposition,
                              full, 0.05, repeats));
 
-    std::printf("%12s %11s %13s %10s %12s %10s %10s %8s %8s\n", "stack",
-                "bytes/msg", "payload/msg", "pkts/msg", "batchfactor",
-                "msgs/s", "coalesced", "resyncs", "exact");
+    std::printf("%12s %11s %13s %10s %12s %10s %11s %10s %8s %8s\n",
+                "stack", "bytes/msg", "payload/msg", "pkts/msg",
+                "batchfactor", "msgs/s", "allocs/msg", "coalesced",
+                "resyncs", "exact");
+    const double timed_msgs =
+        static_cast<double>(script.num_messages()) * repeats;
     for (const Row& row : rows) {
-        std::printf("%12s %11.1f %13.1f %10.3f %11.2fx %10.0f %10llu %8llu "
-                    "%8s\n",
+        std::printf("%12s %11.1f %13.1f %10.3f %11.2fx %10.0f %11.1f %10llu "
+                    "%8llu %8s\n",
                     row.name, row.bytes_per_msg, row.payload_per_msg,
                     row.packets_per_msg, row.batch_factor, row.msgs_per_sec,
+                    static_cast<double>(row.allocs) / timed_msgs,
                     static_cast<unsigned long long>(row.acks_coalesced),
                     static_cast<unsigned long long>(row.delta_resyncs),
                     row.exact ? "yes" : "NO");
@@ -197,7 +205,7 @@ int main() {
         reduction);
 
     for (const Row& row : rows) {
-        emit_protocol_json(row, script.num_messages(), 0.0);
+        emit_protocol_json(row, script.num_messages());
     }
     bool ok = reduction >= 3.0;
     for (const Row& row : rows) ok = ok && row.exact;

@@ -140,92 +140,28 @@ namespace {
 
 constexpr std::size_t kChecksumBytes = common::kChecksumTrailerBytes;
 
-}  // namespace
-
-void encode_frame_into(std::uint64_t sequence, std::uint64_t message,
-                       std::span<const std::uint64_t> stamp,
-                       std::vector<std::uint8_t>& out) {
-    out.clear();
+/// Appends the frame body every full layout shares (sequence, message,
+/// encoded timestamp) and seals everything in `out` with the FNV-1a
+/// trailer.
+void append_body_and_seal(std::uint64_t sequence, std::uint64_t message,
+                          std::span<const std::uint64_t> stamp,
+                          std::vector<std::uint8_t>& out) {
     encode_varint(sequence, out);
     encode_varint(message, out);
     encode_varint(stamp.size(), out);
     for (const std::uint64_t component : stamp) {
         encode_varint(component, out);
     }
-    std::uint64_t checksum = fnv1a64(out);
-    for (std::size_t i = 0; i < kChecksumBytes; ++i) {
-        out.push_back(static_cast<std::uint8_t>(checksum));
-        checksum >>= 8;
-    }
-}
-
-std::vector<std::uint8_t> encode_frame(const SyncFrame& frame) {
-    std::vector<std::uint8_t> out;
-    out.reserve(2 + 1 + frame.stamp.width() + kChecksumBytes);
-    encode_frame_into(frame.sequence, frame.message,
-                      frame.stamp.components(), out);
-    return out;
-}
-
-namespace {
-
-/// Checksum gate shared by both frame versions: strips and validates the
-/// 8-byte FNV-1a trailer, returning the covered payload.
-std::span<const std::uint8_t> checked_payload(
-    std::span<const std::uint8_t> bytes) {
-    // Minimum v1 frame: three one-byte varints plus the checksum trailer.
-    if (bytes.size() < 3 + kChecksumBytes) {
-        throw WireError(WireError::Kind::truncated,
-                        "frame shorter than header + checksum");
-    }
-    const std::span<const std::uint8_t> payload =
-        bytes.first(bytes.size() - kChecksumBytes);
-    std::uint64_t declared = 0;
-    for (std::size_t i = 0; i < kChecksumBytes; ++i) {
-        declared |= static_cast<std::uint64_t>(bytes[payload.size() + i])
-                    << (8 * i);
-    }
-    if (fnv1a64(payload) != declared) {
-        throw WireError(WireError::Kind::checksum_mismatch,
-                        "frame checksum mismatch");
-    }
-    return payload;
-}
-
-/// Decodes the common frame body (sequence, message, timestamp) starting
-/// at payload[offset]; used by both the v1 and the epoch-tagged decoder.
-FrameHeader decode_frame_body(std::span<const std::uint8_t> payload,
-                              std::size_t offset,
-                              std::span<std::uint64_t> stamp_out) {
-    FrameHeader header;
-    header.sequence = decode_varint(payload, offset);
-    header.message = decode_varint(payload, offset);
-    const std::uint64_t width = decode_varint(payload, offset);
-    if (width != stamp_out.size()) {
-        throw WireError(WireError::Kind::width_mismatch,
-                        "frame timestamp width " + std::to_string(width) +
-                            " does not match decomposition size " +
-                            std::to_string(stamp_out.size()));
-    }
-    if (width > payload.size() - offset) {
-        throw WireError(WireError::Kind::length_mismatch,
-                        "frame timestamp width exceeds available bytes");
-    }
-    for (auto& component : stamp_out) {
-        component = decode_varint(payload, offset);
-    }
-    if (offset != payload.size()) {
-        throw WireError(WireError::Kind::trailing_bytes,
-                        "trailing bytes inside frame payload");
-    }
-    return header;
+    common::append_checksum_trailer(out);
 }
 
 }  // namespace
 
-FrameHeader decode_frame_into(std::span<const std::uint8_t> bytes,
-                              std::span<std::uint64_t> stamp_out) {
-    return decode_frame_body(checked_payload(bytes), 0, stamp_out);
+void encode_frame_into(std::uint64_t sequence, std::uint64_t message,
+                       std::span<const std::uint64_t> stamp,
+                       std::vector<std::uint8_t>& out) {
+    out.clear();
+    append_body_and_seal(sequence, message, stamp, out);
 }
 
 void encode_epoch_frame_into(EpochId epoch, std::uint64_t sequence,
@@ -234,95 +170,16 @@ void encode_epoch_frame_into(EpochId epoch, std::uint64_t sequence,
                              std::vector<std::uint8_t>& out) {
     SYNCTS_REQUIRE(sequence >= 1,
                    "epoch-aware frames need 1-based sequence numbers");
-    if (epoch == 0) {
-        // Back-compat rule: epoch-0 traffic is bit-identical to the
-        // version-1 format, so pre-epoch peers interoperate unchanged.
-        encode_frame_into(sequence, message, stamp, out);
-        return;
-    }
     out.clear();
-    out.push_back(kEpochFrameMarker);
-    encode_varint(kEpochFrameVersion, out);
-    encode_varint(epoch, out);
-    encode_varint(sequence, out);
-    encode_varint(message, out);
-    encode_varint(stamp.size(), out);
-    for (const std::uint64_t component : stamp) {
-        encode_varint(component, out);
+    // Back-compat rule: epoch-0 traffic is bit-identical to the version-1
+    // format, so pre-epoch peers interoperate unchanged.
+    if (epoch != 0) {
+        out.push_back(kEpochFrameMarker);
+        encode_varint(kEpochFrameVersion, out);
+        encode_varint(epoch, out);
     }
-    std::uint64_t checksum = fnv1a64(out);
-    for (std::size_t i = 0; i < kChecksumBytes; ++i) {
-        out.push_back(static_cast<std::uint8_t>(checksum));
-        checksum >>= 8;
-    }
+    append_body_and_seal(sequence, message, stamp, out);
 }
-
-FrameHeader decode_epoch_frame_into(std::span<const std::uint8_t> bytes,
-                                    std::span<std::uint64_t> stamp_out) {
-    const std::span<const std::uint8_t> payload = checked_payload(bytes);
-    if (payload[0] != kEpochFrameMarker) {
-        return decode_frame_body(payload, 0, stamp_out);
-    }
-    std::size_t offset = 1;
-    const std::uint64_t version = decode_varint(payload, offset);
-    if (version != kEpochFrameVersion) {
-        throw WireError(WireError::Kind::unsupported_version,
-                        "unsupported frame version " +
-                            std::to_string(version));
-    }
-    const std::uint64_t epoch = decode_varint(payload, offset);
-    // Epoch 0 must use the v1 layout (the encoder enforces this), and
-    // EpochId is 32-bit; anything else is from a future format.
-    if (epoch == 0 || epoch > std::numeric_limits<EpochId>::max()) {
-        throw WireError(WireError::Kind::unsupported_version,
-                        "v2 frame carrying out-of-range epoch " +
-                            std::to_string(epoch));
-    }
-    FrameHeader header = decode_frame_body(payload, offset, stamp_out);
-    header.epoch = static_cast<EpochId>(epoch);
-    return header;
-}
-
-FrameHeader peek_epoch_frame_header(std::span<const std::uint8_t> bytes) {
-    const std::span<const std::uint8_t> payload = checked_payload(bytes);
-    FrameHeader header;
-    std::size_t offset = 0;
-    if (payload[0] == kEpochFrameMarker) {
-        offset = 1;
-        const std::uint64_t version = decode_varint(payload, offset);
-        if (version != kEpochFrameVersion) {
-            throw WireError(WireError::Kind::unsupported_version,
-                            "unsupported frame version " +
-                                std::to_string(version));
-        }
-        const std::uint64_t epoch = decode_varint(payload, offset);
-        if (epoch == 0 || epoch > std::numeric_limits<EpochId>::max()) {
-            throw WireError(WireError::Kind::unsupported_version,
-                            "v2 frame carrying out-of-range epoch " +
-                                std::to_string(epoch));
-        }
-        header.epoch = static_cast<EpochId>(epoch);
-    }
-    header.sequence = decode_varint(payload, offset);
-    header.message = decode_varint(payload, offset);
-    // The remaining payload is the timestamp; its bytes are covered by the
-    // validated checksum, so skipping them cannot hide corruption.
-    return header;
-}
-
-SyncFrame decode_frame(std::span<const std::uint8_t> bytes,
-                       std::size_t expected_width) {
-    SyncFrame frame;
-    frame.stamp = VectorTimestamp(expected_width);
-    const FrameHeader header =
-        decode_frame_into(bytes, frame.stamp.mutable_components());
-    frame.sequence = header.sequence;
-    frame.message = header.message;
-    return frame;
-}
-
-// ---------------------------------------------------------------------------
-// Delta frames (v3)
 
 bool encode_delta_frame_into(EpochId epoch, std::uint64_t sequence,
                              std::uint64_t message,
@@ -349,54 +206,107 @@ bool encode_delta_frame_into(EpochId epoch, std::uint64_t sequence,
         encode_varint(i, out);
         encode_varint(stamp[i] - base[i], out);
     }
-    std::uint64_t checksum = fnv1a64(out);
-    for (std::size_t i = 0; i < kChecksumBytes; ++i) {
-        out.push_back(static_cast<std::uint8_t>(checksum));
-        checksum >>= 8;
-    }
+    common::append_checksum_trailer(out);
     return true;
 }
 
 namespace {
 
-/// Shared v3 header parse for the delta decoder and peek_frame_info:
-/// payload[0] is already known to be the marker and the version already
-/// consumed as kDeltaFrameVersion; reads epoch/sequence/message.
-FrameHeader decode_delta_header(std::span<const std::uint8_t> payload,
-                                std::size_t& offset) {
-    FrameHeader header;
-    const std::uint64_t epoch = decode_varint(payload, offset);
-    if (epoch > std::numeric_limits<EpochId>::max()) {
-        throw WireError(WireError::Kind::unsupported_version,
-                        "delta frame carrying out-of-range epoch " +
-                            std::to_string(epoch));
+/// Checksum gate shared by every frame version: strips and validates the
+/// 8-byte FNV-1a trailer, returning the covered payload. This is the one
+/// FNV pass a received frame pays.
+std::span<const std::uint8_t> checked_payload(
+    std::span<const std::uint8_t> bytes) {
+    // Minimum v1 frame: three one-byte varints plus the checksum trailer.
+    if (bytes.size() < 3 + kChecksumBytes) {
+        throw WireError(WireError::Kind::truncated,
+                        "frame shorter than header + checksum");
     }
-    header.epoch = static_cast<EpochId>(epoch);
-    header.sequence = decode_varint(payload, offset);
-    header.message = decode_varint(payload, offset);
-    return header;
+    const std::span<const std::uint8_t> payload =
+        bytes.first(bytes.size() - kChecksumBytes);
+    if (fnv1a64(payload) !=
+        common::read_checksum_trailer(bytes, payload.size())) {
+        throw WireError(WireError::Kind::checksum_mismatch,
+                        "frame checksum mismatch");
+    }
+    return payload;
+}
+
+/// Frame layouts a reader accepts. `v1` never interprets the 0x00
+/// version escape (decode_frame_into predates it); `full` takes v1 and
+/// v2, `delta` only v3, `any` all three (peek_frame_info).
+enum class Layouts { v1, full, delta, any };
+
+/// The one frame-header parser: checksum, version escape, epoch,
+/// sequence, message. A version the caller does not accept is rejected
+/// as unsupported_version before anything behind it is read, so each
+/// public reader keeps its own error kind on every input.
+FrameInfo read_frame_header(std::span<const std::uint8_t> bytes,
+                            Layouts accept) {
+    FrameInfo info;
+    info.payload = checked_payload(bytes);
+    std::size_t offset = 0;
+    if (accept != Layouts::v1 && info.payload[0] == kEpochFrameMarker) {
+        offset = 1;
+        info.version = decode_varint(info.payload, offset);
+        const bool full = info.version == kEpochFrameVersion &&
+                          accept != Layouts::delta;
+        info.delta = info.version == kDeltaFrameVersion &&
+                     accept != Layouts::full;
+        if (!full && !info.delta) {
+            throw WireError(WireError::Kind::unsupported_version,
+                            "unsupported frame version " +
+                                std::to_string(info.version));
+        }
+        const std::uint64_t epoch = decode_varint(info.payload, offset);
+        // EpochId is 32-bit, and a v2 frame at epoch 0 must use the v1
+        // layout (the encoder enforces this); anything else is from a
+        // future format. The marker alone tells v3 from v1, so delta
+        // frames may carry epoch 0.
+        if (epoch > std::numeric_limits<EpochId>::max() ||
+            (epoch == 0 && full)) {
+            throw WireError(WireError::Kind::unsupported_version,
+                            "v" + std::to_string(info.version) +
+                                " frame carrying out-of-range epoch " +
+                                std::to_string(epoch));
+        }
+        info.header.epoch = static_cast<EpochId>(epoch);
+    } else if (accept == Layouts::delta) {
+        throw WireError(WireError::Kind::unsupported_version,
+                        "v1 frame fed to the delta decoder");
+    }
+    info.header.sequence = decode_varint(info.payload, offset);
+    info.header.message = decode_varint(info.payload, offset);
+    info.body_offset = offset;
+    return info;
+}
+
+FrameHeader decode_frame(std::span<const std::uint8_t> bytes, Layouts accept,
+                         std::span<const std::uint64_t> base,
+                         std::span<std::uint64_t> stamp_out) {
+    const FrameInfo info = read_frame_header(bytes, accept);
+    decode_frame_stamp_into(info, base, stamp_out);
+    return info.header;
 }
 
 }  // namespace
 
-FrameHeader decode_delta_frame_into(std::span<const std::uint8_t> bytes,
-                                    std::span<const std::uint64_t> base,
-                                    std::span<std::uint64_t> stamp_out) {
+FrameInfo peek_frame_info(std::span<const std::uint8_t> bytes) {
+    return read_frame_header(bytes, Layouts::any);
+}
+
+void decode_frame_stamp_into(const FrameInfo& info,
+                             std::span<const std::uint64_t> base,
+                             std::span<std::uint64_t> stamp_out) {
+    const std::span<const std::uint8_t> payload = info.payload;
+    std::size_t offset = info.body_offset;
+    if (!info.delta) {
+        const std::uint64_t width = decode_varint(payload, offset);
+        decode_components_into(payload, offset, width, stamp_out);
+        return;
+    }
     SYNCTS_REQUIRE(base.size() == stamp_out.size(),
                    "delta decode needs base and output of equal width");
-    const std::span<const std::uint8_t> payload = checked_payload(bytes);
-    if (payload[0] != kEpochFrameMarker) {
-        throw WireError(WireError::Kind::unsupported_version,
-                        "v1 frame fed to the delta decoder");
-    }
-    std::size_t offset = 1;
-    const std::uint64_t version = decode_varint(payload, offset);
-    if (version != kDeltaFrameVersion) {
-        throw WireError(WireError::Kind::unsupported_version,
-                        "non-delta frame version " + std::to_string(version) +
-                            " fed to the delta decoder");
-    }
-    const FrameHeader header = decode_delta_header(payload, offset);
     const std::uint64_t count = decode_varint(payload, offset);
     if (count > stamp_out.size()) {
         throw WireError(WireError::Kind::width_mismatch,
@@ -430,38 +340,30 @@ FrameHeader decode_delta_frame_into(std::span<const std::uint8_t> bytes,
         throw WireError(WireError::Kind::trailing_bytes,
                         "trailing bytes inside delta frame payload");
     }
-    return header;
 }
 
-FrameInfo peek_frame_info(std::span<const std::uint8_t> bytes) {
-    const std::span<const std::uint8_t> payload = checked_payload(bytes);
-    FrameInfo info;
-    std::size_t offset = 0;
-    if (payload[0] == kEpochFrameMarker) {
-        offset = 1;
-        info.version = decode_varint(payload, offset);
-        if (info.version == kEpochFrameVersion) {
-            const std::uint64_t epoch = decode_varint(payload, offset);
-            if (epoch == 0 || epoch > std::numeric_limits<EpochId>::max()) {
-                throw WireError(WireError::Kind::unsupported_version,
-                                "v2 frame carrying out-of-range epoch " +
-                                    std::to_string(epoch));
-            }
-            info.header.epoch = static_cast<EpochId>(epoch);
-        } else if (info.version == kDeltaFrameVersion) {
-            info.delta = true;
-            const FrameHeader header = decode_delta_header(payload, offset);
-            info.header = header;
-            return info;
-        } else {
-            throw WireError(WireError::Kind::unsupported_version,
-                            "unsupported frame version " +
-                                std::to_string(info.version));
-        }
-    }
-    info.header.sequence = decode_varint(payload, offset);
-    info.header.message = decode_varint(payload, offset);
-    return info;
+FrameHeader decode_frame_into(std::span<const std::uint8_t> bytes,
+                              std::span<std::uint64_t> stamp_out) {
+    return decode_frame(bytes, Layouts::v1, {}, stamp_out);
+}
+
+FrameHeader decode_epoch_frame_into(std::span<const std::uint8_t> bytes,
+                                    std::span<std::uint64_t> stamp_out) {
+    return decode_frame(bytes, Layouts::full, {}, stamp_out);
+}
+
+FrameHeader peek_epoch_frame_header(std::span<const std::uint8_t> bytes) {
+    // The timestamp bytes are covered by the validated checksum, so
+    // skipping them cannot hide corruption.
+    return read_frame_header(bytes, Layouts::full).header;
+}
+
+FrameHeader decode_delta_frame_into(std::span<const std::uint8_t> bytes,
+                                    std::span<const std::uint64_t> base,
+                                    std::span<std::uint64_t> stamp_out) {
+    SYNCTS_REQUIRE(base.size() == stamp_out.size(),
+                   "delta decode needs base and output of equal width");
+    return decode_frame(bytes, Layouts::delta, base, stamp_out);
 }
 
 // ---------------------------------------------------------------------------

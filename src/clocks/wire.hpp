@@ -109,25 +109,14 @@ struct SyncFrame {
     friend bool operator==(const SyncFrame&, const SyncFrame&) = default;
 };
 
-/// Layout: varint sequence, varint message, encoded timestamp, then an
-/// 8-byte little-endian FNV-1a 64 checksum of everything before it.
-///
-/// Deprecated: allocates a fresh vector per frame. Hot paths (and new
-/// code) use encode_frame_into with a reusable scratch buffer instead.
-[[deprecated("use encode_frame_into with a reusable scratch buffer")]]
-std::vector<std::uint8_t> encode_frame(const SyncFrame& frame);
-
-/// Span form: frames `stamp` (an arena row or clock span) with the given
-/// header, replacing the contents of `out`. Capacity is reused — the
-/// synchronizer's per-packet steady state allocates nothing.
+/// Version-1 frame layout: varint sequence, varint message, encoded
+/// timestamp, then an 8-byte little-endian FNV-1a 64 checksum of
+/// everything before it. Frames `stamp` (an arena row or clock span) with
+/// the given header, replacing the contents of `out`. Capacity is reused —
+/// the synchronizer's per-packet steady state allocates nothing.
 void encode_frame_into(std::uint64_t sequence, std::uint64_t message,
                        std::span<const std::uint64_t> stamp,
                        std::vector<std::uint8_t>& out);
-
-/// Inverse of encode_frame; validates length, checksum, and that the
-/// timestamp width equals `expected_width`. Throws WireError.
-SyncFrame decode_frame(std::span<const std::uint8_t> bytes,
-                       std::size_t expected_width);
 
 /// Frame header fields, decoupled from timestamp storage. `epoch` is 0
 /// for version-1 frames (the format predates topology epochs; see
@@ -138,9 +127,10 @@ struct FrameHeader {
     EpochId epoch = 0;
 };
 
-/// Span form of decode_frame: validates as decode_frame with
-/// expected_width = stamp_out.size(), writes the components into
-/// `stamp_out`, and returns the header. Nothing is allocated.
+/// Inverse of encode_frame_into (v1 layout only): validates length,
+/// checksum, and that the timestamp width equals stamp_out.size(), writes
+/// the components into `stamp_out`, and returns the header. Throws
+/// WireError. Nothing is allocated.
 FrameHeader decode_frame_into(std::span<const std::uint8_t> bytes,
                               std::span<std::uint64_t> stamp_out);
 
@@ -224,20 +214,42 @@ FrameHeader decode_delta_frame_into(std::span<const std::uint8_t> bytes,
                                     std::span<const std::uint64_t> base,
                                     std::span<std::uint64_t> stamp_out);
 
-/// What a checksum-valid frame is, before committing to a decode path.
+/// What a checksum-valid frame is, before committing to a decode path:
+/// the header plus a view of the checked payload, so the stamp decode
+/// that follows reads the same bytes without hashing them again.
 struct FrameInfo {
     FrameHeader header;
     std::uint64_t version = 1;  ///< 1, 2, or kDeltaFrameVersion
     bool delta = false;         ///< version == kDeltaFrameVersion
+    /// Checksum-covered bytes (trailer stripped); points into the buffer
+    /// handed to peek_frame_info, valid as long as that buffer is.
+    std::span<const std::uint8_t> payload;
+    /// Offset in `payload` where the stamp body starts: the encoded
+    /// timestamp of a full frame, the pair count of a delta.
+    std::size_t body_offset = 0;
 };
 
-/// Classifying peek over v1/v2/v3 frames: validates the checksum and
-/// header fields only (component/increment bytes are checksum-covered
-/// but undecoded). The extended receive path calls this first to decide
-/// between decode_epoch_frame_into and decode_delta_frame_into. Batch
-/// containers (v4) are rejected with unsupported_version — they travel
-/// under their own packet kind and BatchReader.
+/// The frame-header parser: validates the checksum (the one FNV pass a
+/// received frame pays) and the header fields of a v1/v2/v3 frame;
+/// component/increment bytes are checksum-covered but undecoded. The
+/// other frame readers above are this parse, restricted to their own
+/// versions, followed by decode_frame_stamp_into. The receive path calls
+/// it first, routes on the header, then decodes the stamp.
+/// Batch containers (v4) are rejected with unsupported_version — they
+/// travel under their own packet kind and BatchReader.
 FrameInfo peek_frame_info(std::span<const std::uint8_t> bytes);
+
+/// Decodes the stamp of a frame peek_frame_info accepted, from its
+/// payload view and without re-hashing: a full frame's width-checked
+/// components (width must equal stamp_out.size(); `base` is unused), or
+/// a delta's increments applied over `base` (same width as `stamp_out`,
+/// may alias it; strictly increasing in-range indices, count <= width).
+/// Throws WireError with the kinds of decode_epoch_frame_into and
+/// decode_delta_frame_into, which are this pair with their version
+/// accepted up front.
+void decode_frame_stamp_into(const FrameInfo& info,
+                             std::span<const std::uint64_t> base,
+                             std::span<std::uint64_t> stamp_out);
 
 // ---------------------------------------------------------------------------
 // Batch containers (format version 4)

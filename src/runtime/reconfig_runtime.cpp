@@ -131,10 +131,11 @@ struct InChannel {
     std::uint32_t replay_attempts = 0;
     /// One watchdog chain per channel at a time.
     bool watchdog_armed = false;
-    /// Delta shadows (extended wire path only): the last REQ stamp
-    /// decoded off this channel and the last ACK stamp encoded onto its
-    /// reverse direction. Trailing members so the aggregate
-    /// initializers elsewhere keep value-initializing them (= invalid).
+    /// Delta shadows (kept only with ProtocolOptions::delta on): the
+    /// last REQ stamp decoded off this channel and the last ACK stamp
+    /// encoded onto its reverse direction. Trailing members so the
+    /// aggregate initializers elsewhere keep value-initializing them
+    /// (= invalid).
     ShadowVector rx_shadow{};
     ShadowVector ack_sent_shadow{};
 };
@@ -146,9 +147,10 @@ struct OutChannel {
     /// Original encoded REQ frames of recent sends, replayed verbatim
     /// when a restarted receiver's HELLO reveals it lost them.
     FrameWindow req_window;
-    /// Delta shadows (extended wire path only): the last REQ stamp sent
-    /// on this channel and the last ACK stamp decoded off its reverse
-    /// direction. Trailing members — see InChannel.
+    /// Delta shadows (kept only with ProtocolOptions::delta on): the
+    /// last REQ stamp sent on this channel and the last ACK stamp
+    /// decoded off its reverse direction. Trailing members — see
+    /// InChannel.
     ShadowVector req_shadow{};
     ShadowVector ack_rx_shadow{};
 };
@@ -545,6 +547,24 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                          });
     };
 
+    /// Sends a stored canonical full frame — a retransmitted or replayed
+    /// REQ, or a cached ACK. Never a delta, even with delta on, so every
+    /// resend doubles as the shadow resync the receiver may be waiting
+    /// for.
+    const auto send_full = [&](std::uint64_t now, ProcessId src,
+                               ProcessId dst, std::uint32_t kind,
+                               std::uint64_t tag,
+                               std::span<const std::uint8_t> frame) {
+        Packet packet;
+        packet.source = src;
+        packet.destination = dst;
+        packet.kind = kind;
+        packet.tag = tag;
+        packet.body.assign(frame.begin(), frame.end());
+        ++tally.full_frames;
+        tx_send(now, std::move(packet), 0);
+    };
+
     /// Whether `shadow` is the base the delta codec needs for the next
     /// frame: same epoch, exactly the previous sequence, same width.
     const auto delta_ready = [](const ShadowVector& shadow, EpochId epoch,
@@ -936,17 +956,8 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                 trace(obs::TraceEventKind::retransmit, when, p, receiver,
                       sequence, out_now.mid,
                       logical(engine));
-                Packet req;
-                req.source = p;
-                req.destination = receiver;
-                req.kind = kReq;
-                req.tag = out_now.mid;
-                // Always the canonical full frame, even with delta on:
-                // a retransmission doubles as the shadow resync the
-                // receiver may be waiting for.
-                req.body = out_now.frame;
-                ++tally.full_frames;
-                tx_send(when, std::move(req), 0);
+                send_full(when, p, receiver, kReq, out_now.mid,
+                          out_now.frame);
                 out_now.rto = std::min(out_now.rto * 2, max_rto);
                 arm_timer(when, p);
             });
@@ -1007,7 +1018,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                     // body may shrink to a delta against the channel's
                     // last-sent shadow. Every resend/replay path sends
                     // full frames, so any shadow break converges.
-                    if (wire_ext && proto.delta &&
+                    if (proto.delta &&
                         delta_ready(channel.req_shadow, engine.epoch,
                                     sequence,
                                     engine.clock->current_span().size()) &&
@@ -1020,7 +1031,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                     } else {
                         ++tally.full_frames;
                     }
-                    if (wire_ext) {
+                    if (proto.delta) {
                         update_shadow(channel.req_shadow, engine.epoch,
                                       sequence,
                                       engine.clock->current_span());
@@ -1041,11 +1052,15 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                         channel.future.upper_bound(channel.last_committed));
                     const auto next =
                         channel.future.find(channel.last_committed + 1);
+                    // Parked frames are canonical full frames.
+                    const FrameInfo info =
+                        next != channel.future.end()
+                            ? peek_frame_info(next->second)
+                            : FrameInfo{};
+                    const FrameHeader header = info.header;
                     if (next != channel.future.end() &&
-                        peek_epoch_frame_header(next->second).epoch ==
-                            engine.epoch) {
-                        const FrameHeader header = decode_epoch_frame_into(
-                            next->second, engine.rx_stamp);
+                        header.epoch == engine.epoch) {
+                        decode_frame_stamp_into(info, {}, engine.rx_stamp);
                         channel.pending = SyncFrame{
                             header.sequence, header.message,
                             VectorTimestamp(std::span<const std::uint64_t>(
@@ -1127,7 +1142,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                 // ack_window and the WAL keep the canonical full ACK
                 // (recovery byte-verifies against it); only the wire
                 // body may be a delta.
-                if (wire_ext && proto.delta &&
+                if (proto.delta &&
                     delta_ready(channel.ack_sent_shadow, engine.epoch,
                                 req.sequence, engine.ack_scratch.size()) &&
                     encode_delta_frame_into(engine.epoch, req.sequence, mid,
@@ -1140,7 +1155,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                     ack.body = engine.ack_bytes;
                     ++tally.full_frames;
                 }
-                if (wire_ext) {
+                if (proto.delta) {
                     update_shadow(channel.ack_sent_shadow, engine.epoch,
                                   req.sequence, engine.ack_scratch);
                 }
@@ -1267,14 +1282,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
             trace(obs::TraceEventKind::retransmit, now, p, out.receiver,
                   out.sequence, out.mid,
                   logical(engine));
-            Packet req;
-            req.source = p;
-            req.destination = out.receiver;
-            req.kind = kReq;
-            req.tag = out.mid;
-            req.body = out.frame;  // canonical full frame, restored
-            ++tally.full_frames;
-            tx_send(now, std::move(req), 0);
+            send_full(now, p, out.receiver, kReq, out.mid, out.frame);
             if (retransmission) arm_timer(now, p);
         } else {
             progress(now, p);
@@ -1283,11 +1291,28 @@ ReconfigurableRunResult run_reconfigurable_protocol(
         maybe_transition(now);
     };
 
-    /// Sends (or re-sends) rejoin HELLOs. A HELLO is an epoch frame at
-    /// the rejoiner's recovered epoch whose width-1 "stamp" carries its
-    /// committed high-water mark on the channel from the addressee, so
-    /// the peer can replay exactly the REQs the rejoiner lost. The
-    /// sequence field numbers handshake attempts.
+    /// Posts one HELLO from `p` to `peer`: an epoch frame at p's epoch
+    /// whose width-1 "stamp" carries `last`, p's committed high-water
+    /// mark on the channel from `peer`, so the peer can replay exactly
+    /// the REQs p lost. The sequence field numbers the `attempt`.
+    const auto post_hello = [&](std::uint64_t now, ProcessId p,
+                                ProcessId peer, std::uint64_t attempt,
+                                std::uint64_t last) {
+        Packet hello;
+        hello.source = p;
+        hello.destination = peer;
+        hello.kind = kHello;
+        encode_epoch_frame_into(engines[p].epoch, attempt, 0,
+                                std::span<const std::uint64_t>(&last, 1),
+                                hello.body);
+        ++tally.hellos;
+        trace(obs::TraceEventKind::hello, now, p, peer, attempt, last,
+              logical(engines[p]));
+        post(now, std::move(hello));
+    };
+
+    /// Sends (or re-sends) the rejoin HELLOs of a restarted process to
+    /// every neighbor whose HELLO_ACK it still awaits.
     std::function<void(std::uint64_t, ProcessId)> send_hellos =
         [&](std::uint64_t now, ProcessId p) {
             Engine& engine = engines[p];
@@ -1318,17 +1343,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                     it != engine.in.end()) {
                     last = it->second.last_committed;
                 }
-                Packet hello;
-                hello.source = p;
-                hello.destination = q;
-                hello.kind = kHello;
-                encode_epoch_frame_into(
-                    engine.epoch, sequence, 0,
-                    std::span<const std::uint64_t>(&last, 1), hello.body);
-                ++tally.hellos;
-                trace(obs::TraceEventKind::hello, now, p, q, sequence, last,
-                      logical(engine));
-                post(now, std::move(hello));
+                post_hello(now, p, q, sequence, last);
             }
             const std::uint64_t incarnation = engine.incarnation;
             network.schedule(now + base_rto,
@@ -1369,19 +1384,8 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                             std::to_string(peer));
                     }
                     ++channel.replay_attempts;
-                    std::uint64_t last = channel.last_committed;
-                    Packet hello;
-                    hello.source = p;
-                    hello.destination = peer;
-                    hello.kind = kHello;
-                    encode_epoch_frame_into(
-                        e.epoch, channel.replay_attempts, 0,
-                        std::span<const std::uint64_t>(&last, 1), hello.body);
-                    ++tally.hellos;
-                    trace(obs::TraceEventKind::hello, when, p, peer,
-                          channel.replay_attempts, last,
-                          logical(e));
-                    post(when, std::move(hello));
+                    post_hello(when, p, peer, channel.replay_attempts,
+                               channel.last_committed);
                     arm_replay_watchdog(when, p, peer);
                 });
         };
@@ -1470,6 +1474,17 @@ ReconfigurableRunResult run_reconfigurable_protocol(
         send_hellos(now, p);
     };
 
+    /// One corrupt-reject: a received packet or batch entry failed its
+    /// checksum or a structural or semantic check. `kind` and `tag` are
+    /// traced as the event's two arguments.
+    const auto reject_corrupt = [&](std::uint64_t now, ProcessId p,
+                                    ProcessId source, std::uint64_t kind,
+                                    std::uint64_t tag) {
+        ++tally.corrupt_rejects;
+        trace(obs::TraceEventKind::corrupt_reject, now, p, source, kind, tag,
+              logical(engines[p]));
+    };
+
     const auto handle_req = [&](std::uint64_t now, ProcessId p,
                                 const Packet& packet,
                                 const FrameHeader& header) {
@@ -1523,14 +1538,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                 trace(obs::TraceEventKind::ack_replay, now, p, packet.source,
                       header.sequence, header.message,
                       logical(engine));
-                Packet ack;
-                ack.source = p;
-                ack.destination = packet.source;
-                ack.kind = kAck;
-                ack.tag = packet.tag;
-                ack.body = *cached;  // original full bytes — the resync
-                ++tally.full_frames;
-                tx_send(now, std::move(ack), 0);
+                send_full(now, p, packet.source, kAck, packet.tag, *cached);
                 return;
             }
             // The newest commit's ACK is always retained, so only
@@ -1669,14 +1677,8 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                     trace(obs::TraceEventKind::ack_replay, now, p,
                           packet.source, header.sequence, header.message,
                           logical(engine));
-                    Packet ack;
-                    ack.source = p;
-                    ack.destination = packet.source;
-                    ack.kind = kAck;
-                    ack.tag = packet.tag;
-                    ack.body = *cached;
-                    ++tally.full_frames;
-                    tx_send(now, std::move(ack), 0);
+                    send_full(now, p, packet.source, kAck, packet.tag,
+                              *cached);
                     return;
                 }
             }
@@ -1716,7 +1718,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
         Outstanding& out = *engine.outstanding;
         encode_epoch_frame_into(engine.epoch, out.sequence, out.mid,
                                 engine.clock->current_span(), out.frame);
-        if (wire_ext) {
+        if (proto.delta) {
             // Full-vector resync on NACK: the channel just crossed an
             // epoch boundary under the sender's feet, so the old-epoch
             // shadow (and any claim to sequence continuity) is void.
@@ -1726,14 +1728,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
         trace(obs::TraceEventKind::retransmit, now, p, packet.source,
               out.sequence, out.mid,
               logical(engine));
-        Packet req;
-        req.source = p;
-        req.destination = out.receiver;
-        req.kind = kReq;
-        req.tag = out.mid;
-        req.body = out.frame;
-        ++tally.full_frames;
-        tx_send(now, std::move(req), 0);
+        send_full(now, p, out.receiver, kReq, out.mid, out.frame);
     };
 
     /// A restarted neighbor announced itself: replay every REQ in the
@@ -1748,10 +1743,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
             header = decode_epoch_frame_into(
                 packet.body, std::span<std::uint64_t>(&peer_committed, 1));
         } catch (const WireError&) {
-            ++tally.corrupt_rejects;
-            trace(obs::TraceEventKind::corrupt_reject, now, p, packet.source,
-                  packet.kind, packet.tag,
-                  logical(engine));
+            reject_corrupt(now, p, packet.source, packet.kind, packet.tag);
             return;
         }
         trace(obs::TraceEventKind::hello, now, p, packet.source,
@@ -1762,21 +1754,16 @@ ReconfigurableRunResult run_reconfigurable_protocol(
             for (const FrameWindow::Entry& entry :
                  it->second.req_window.entries()) {
                 if (entry.sequence <= peer_committed) continue;
-                FrameHeader cached = peek_epoch_frame_header(entry.frame);
-                Packet req;
-                req.source = p;
-                req.destination = packet.source;
-                req.kind = kReq;
-                req.tag = cached.message;
-                req.body = entry.frame;
+                const FrameHeader cached =
+                    peek_epoch_frame_header(entry.frame);
                 ++tally.window_retransmits;
                 trace(obs::TraceEventKind::retransmit, now, p, packet.source,
                       entry.sequence, cached.message,
                       logical(engine));
                 // A replay burst to one destination batches naturally:
                 // every frame here shares the rejoiner's address.
-                ++tally.full_frames;
-                tx_send(now, std::move(req), 0);
+                send_full(now, p, packet.source, kReq, cached.message,
+                          entry.frame);
             }
         }
         Packet reply;
@@ -1809,10 +1796,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
             header = decode_epoch_frame_into(
                 packet.body, std::span<std::uint64_t>(&frontier, 1));
         } catch (const WireError&) {
-            ++tally.corrupt_rejects;
-            trace(obs::TraceEventKind::corrupt_reject, now, p, packet.source,
-                  packet.kind, packet.tag,
-                  logical(engine));
+            reject_corrupt(now, p, packet.source, packet.kind, packet.tag);
             return;
         }
         // Record the peer's frontier even on a late/duplicate ACK: the
@@ -1840,26 +1824,23 @@ ReconfigurableRunResult run_reconfigurable_protocol(
         if (engine.awaiting_hello.empty()) complete_rejoin(now, p);
     };
 
-    /// Extended-path dispatch of one REQ/ACK/NACK frame — a bare packet
-    /// or a batch entry. Classifies with peek_frame_info (checksum +
-    /// header, no component decode), validates the kind *semantically*
+    /// The one receive path for REQ/ACK/NACK frames, whether a bare
+    /// packet or a batch entry. peek_frame_info checksums the frame once
+    /// and parses its header; the kind is then validated *semantically*
     /// (a batch entry's kind/tag varints sit outside the inner frame
     /// checksum, so a flipped kind bit could present an ACK as a REQ —
-    /// message ids are globally unique, so the script is the
-    /// authority), decodes full or delta against the channel shadow,
-    /// and hands the existing handlers a pre-filled rx_stamp exactly
-    /// like the classic dispatcher. Delta frames whose shadow does not
-    /// apply (or that would have to be parked for later) are dropped as
-    /// resync misses — the sender's retransmission path always carries
+    /// message ids are globally unique, so the script is the authority).
+    /// A fresh REQ or an ACK has its stamp decoded into rx_stamp from the
+    /// same checked payload — full, or a delta against the channel
+    /// shadow — before the handlers run. Delta frames whose shadow does
+    /// not apply (or that would have to be parked for later) are dropped
+    /// as resync misses: the sender's retransmission path always carries
     /// the full frame that re-seeds the shadow.
     const auto deliver_frame = [&](std::uint64_t now, ProcessId p,
                                    const Packet& packet) {
         Engine& engine = engines[p];
         const auto reject = [&] {
-            ++tally.corrupt_rejects;
-            trace(obs::TraceEventKind::corrupt_reject, now, p, packet.source,
-                  packet.kind, packet.tag,
-                  logical(engine));
+            reject_corrupt(now, p, packet.source, packet.kind, packet.tag);
         };
         FrameInfo info;
         try {
@@ -1869,6 +1850,11 @@ ReconfigurableRunResult run_reconfigurable_protocol(
             return;
         }
         const FrameHeader& header = info.header;
+        const auto resync = [&] {
+            ++tally.delta_resyncs;
+            trace(obs::TraceEventKind::delta_resync, now, p, packet.source,
+                  header.sequence, header.message, logical(engine));
+        };
         if (packet.kind == kNack) {
             if (info.delta) {
                 reject();  // NACKs are header-only, never delta
@@ -1912,10 +1898,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
             if (info.delta && header.epoch > engine.epoch) {
                 // Would have to be parked for a later epoch, but a
                 // parked delta has no decodable base by promotion time.
-                ++tally.delta_resyncs;
-                trace(obs::TraceEventKind::delta_resync, now, p,
-                      packet.source, header.sequence, header.message,
-                      logical(engine));
+                resync();
                 return;
             }
             // Stale frames never need their stamp decoded (window
@@ -1924,192 +1907,101 @@ ReconfigurableRunResult run_reconfigurable_protocol(
             handle_epoch_mismatch(now, p, packet, header);
             return;
         }
+        // Only a fresh REQ and an ACK read rx_stamp; the duplicate,
+        // stale and park branches of handle_req are header-driven. The
+        // channel shadow exists only with delta on.
+        bool decode = true;
+        ShadowVector* shadow = nullptr;
         if (packet.kind == kReq) {
             InChannel& channel = in_channel(engine, packet.source);
-            const bool fresh =
-                header.sequence == channel.last_committed + 1 &&
-                !channel.pending;
-            if (fresh) {
-                // Pre-fill engine.rx_stamp for handle_req's fresh path.
-                if (info.delta) {
-                    if (!delta_ready(channel.rx_shadow, header.epoch,
-                                     header.sequence,
-                                     engine.rx_stamp.size())) {
-                        ++tally.delta_resyncs;
-                        trace(obs::TraceEventKind::delta_resync, now, p,
-                              packet.source, header.sequence,
-                              header.message, logical(engine));
-                        return;
-                    }
-                    try {
-                        decode_delta_frame_into(packet.body,
-                                                channel.rx_shadow.stamp,
-                                                engine.rx_stamp);
-                    } catch (const WireError&) {
-                        reject();
-                        return;
-                    }
-                } else {
-                    try {
-                        decode_epoch_frame_into(packet.body,
-                                                engine.rx_stamp);
-                    } catch (const WireError&) {
-                        reject();
-                        return;
-                    }
-                }
-                update_shadow(channel.rx_shadow, header.epoch,
-                              header.sequence, engine.rx_stamp);
-            } else if (info.delta &&
-                       header.sequence > channel.last_committed + 1) {
-                // Parking a delta body would strand it (see above).
-                ++tally.delta_resyncs;
-                trace(obs::TraceEventKind::delta_resync, now, p,
-                      packet.source, header.sequence, header.message,
-                      logical(engine));
+            decode = header.sequence == channel.last_committed + 1 &&
+                     !channel.pending;
+            if (!decode && info.delta &&
+                header.sequence > channel.last_committed + 1) {
+                resync();  // parking a delta body would strand it
                 return;
             }
-            // Duplicate/stale/park branches never read rx_stamp.
+            if (proto.delta) shadow = &channel.rx_shadow;
+        } else if (proto.delta) {
+            shadow = &out_channel(engine, packet.source).ack_rx_shadow;
+        }
+        if (decode) {
+            if (info.delta &&
+                (shadow == nullptr ||
+                 !delta_ready(*shadow, header.epoch, header.sequence,
+                              engine.rx_stamp.size()))) {
+                resync();
+                return;
+            }
+            try {
+                decode_frame_stamp_into(
+                    info,
+                    shadow != nullptr
+                        ? std::span<const std::uint64_t>(shadow->stamp)
+                        : std::span<const std::uint64_t>(),
+                    engine.rx_stamp);
+            } catch (const WireError&) {
+                reject();
+                return;
+            }
+            if (shadow != nullptr) {
+                update_shadow(*shadow, header.epoch, header.sequence,
+                              engine.rx_stamp);
+            }
+        }
+        if (packet.kind == kReq) {
             handle_req(now, p, packet, header);
-            return;
-        }
-        // kAck: decode (pre-filling rx_stamp for on_ack_into), then let
-        // handle_ack match or drop exactly as the classic path does.
-        OutChannel& channel = out_channel(engine, packet.source);
-        if (info.delta) {
-            if (!delta_ready(channel.ack_rx_shadow, header.epoch,
-                             header.sequence, engine.rx_stamp.size())) {
-                ++tally.delta_resyncs;
-                trace(obs::TraceEventKind::delta_resync, now, p,
-                      packet.source, header.sequence, header.message,
-                      logical(engine));
-                return;
-            }
-            try {
-                decode_delta_frame_into(packet.body,
-                                        channel.ack_rx_shadow.stamp,
-                                        engine.rx_stamp);
-            } catch (const WireError&) {
-                reject();
-                return;
-            }
         } else {
-            try {
-                decode_epoch_frame_into(packet.body, engine.rx_stamp);
-            } catch (const WireError&) {
-                reject();
+            handle_ack(now, p, packet, header);
+        }
+    };
+
+    /// Unpacks a v4 container and runs each entry through deliver_frame
+    /// as its own sub-packet. The codec treats the outer checksum as
+    /// advisory; here it is authoritative: damage anywhere in the
+    /// container — entry table, trailer or an inner frame — counts as one
+    /// corrupt packet and drops the container whole, and retransmission
+    /// recovers its frames exactly as for a damaged bare frame.
+    const auto deliver_batch = [&](std::uint64_t now, ProcessId p,
+                                   const Packet& packet) {
+        try {
+            BatchReader reader(packet.body);
+            if (!reader.intact()) {
+                reject_corrupt(now, p, packet.source, packet.kind,
+                               packet.tag);
                 return;
             }
+            BatchFrame::Entry entry;
+            Packet sub;
+            sub.source = packet.source;
+            sub.destination = packet.destination;
+            while (reader.next(entry)) {
+                if (engines[p].down) return;  // mid-batch crash
+                if (entry.kind > kHelloAck) {
+                    // A kind no sender writes (it could alias a valid
+                    // kind after u32 truncation).
+                    reject_corrupt(now, p, packet.source, packet.kind,
+                                   entry.kind);
+                    continue;
+                }
+                sub.kind = static_cast<std::uint32_t>(entry.kind);
+                sub.tag = entry.tag;
+                sub.body.assign(entry.body.begin(), entry.body.end());
+                deliver_frame(now, p, sub);
+            }
+        } catch (const WireError&) {
+            reject_corrupt(now, p, packet.source, packet.kind, packet.tag);
         }
-        update_shadow(channel.ack_rx_shadow, header.epoch, header.sequence,
-                      engine.rx_stamp);
-        handle_ack(now, p, packet, header);
     };
 
     for (ProcessId p = 0; p < n_max; ++p) {
         network.on_deliver(p, [&, p](std::uint64_t now, const Packet& packet) {
-            Engine& engine = engines[p];
-            if (engine.down) return;  // the network already drops these
-            if (packet.kind == kHello) {
-                handle_hello(now, p, packet);
-                return;
-            }
-            if (packet.kind == kHelloAck) {
-                handle_hello_ack(now, p, packet);
-                return;
-            }
-            if (wire_ext) {
-                if (packet.kind == kBatch) {
-                    // Unpack the container and run each entry through
-                    // the frame dispatcher as its own sub-packet. The
-                    // outer checksum is advisory — per-entry inner
-                    // checksums decide survival — but a structural
-                    // break (corrupted length/varint) loses the
-                    // remainder; retransmission recovers it like a
-                    // lost packet.
-                    try {
-                        BatchReader reader(packet.body);
-                        BatchFrame::Entry entry;
-                        Packet sub;
-                        sub.source = packet.source;
-                        sub.destination = packet.destination;
-                        while (reader.next(entry)) {
-                            if (engines[p].down) return;  // mid-batch crash
-                            if (entry.kind > kHelloAck) {
-                                // Damaged kind varint (could alias a
-                                // valid kind after u32 truncation).
-                                ++tally.corrupt_rejects;
-                                trace(obs::TraceEventKind::corrupt_reject,
-                                      now, p, packet.source, packet.kind,
-                                      entry.kind, logical(engines[p]));
-                                continue;
-                            }
-                            sub.kind = static_cast<std::uint32_t>(entry.kind);
-                            sub.tag = entry.tag;
-                            sub.body.assign(entry.body.begin(),
-                                            entry.body.end());
-                            deliver_frame(now, p, sub);
-                        }
-                    } catch (const WireError&) {
-                        ++tally.corrupt_rejects;
-                        trace(obs::TraceEventKind::corrupt_reject, now, p,
-                              packet.source, packet.kind, packet.tag,
-                              logical(engines[p]));
-                    }
-                    return;
-                }
-                deliver_frame(now, p, packet);
-                return;
-            }
-            FrameHeader header;
-            if (packet.kind == kNack) {
-                // NACKs carry no timestamp; read the header only.
-                try {
-                    header = peek_epoch_frame_header(packet.body);
-                } catch (const WireError&) {
-                    ++tally.corrupt_rejects;
-                    trace(obs::TraceEventKind::corrupt_reject, now, p,
-                          packet.source, packet.kind, packet.tag,
-                          logical(engine));
-                    return;
-                }
-                handle_nack(now, p, packet, header);
-                return;
-            }
-            try {
-                header = decode_epoch_frame_into(packet.body, engine.rx_stamp);
-            } catch (const WireError&) {
-                // Either corrupted in flight, or a healthy frame from
-                // another epoch whose width no longer matches — the
-                // checksum-validated header tells the two apart.
-                try {
-                    header = peek_epoch_frame_header(packet.body);
-                } catch (const WireError&) {
-                    ++tally.corrupt_rejects;
-                    trace(obs::TraceEventKind::corrupt_reject, now, p,
-                          packet.source, packet.kind, packet.tag,
-                          logical(engine));
-                    return;
-                }
-                if (header.epoch == engine.epoch) {
-                    // Same epoch, bad payload: genuinely malformed.
-                    ++tally.corrupt_rejects;
-                    trace(obs::TraceEventKind::corrupt_reject, now, p,
-                          packet.source, packet.kind, packet.tag,
-                          logical(engine));
-                    return;
-                }
-                handle_epoch_mismatch(now, p, packet, header);
-                return;
-            }
-            if (header.epoch != engine.epoch) {
-                handle_epoch_mismatch(now, p, packet, header);
-                return;
-            }
-            if (packet.kind == kReq) {
-                handle_req(now, p, packet, header);
-            } else {
-                handle_ack(now, p, packet, header);
+            if (engines[p].down) return;  // the network already drops these
+            switch (packet.kind) {
+                case kHello: handle_hello(now, p, packet); return;
+                case kHelloAck: handle_hello_ack(now, p, packet); return;
+                case kBatch: deliver_batch(now, p, packet); return;
+                default: deliver_frame(now, p, packet); return;
             }
         });
     }

@@ -1,11 +1,5 @@
 #include <gtest/gtest.h>
 
-// The allocating encode_frame is deprecated (encode_frame_into is the
-// supported form) but stays under fuzz coverage until it is removed.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 #include <cstdint>
 #include <span>
 #include <sstream>
@@ -124,7 +118,7 @@ TEST(FuzzParsers, TimestampWireRandomBytes) {
 }
 
 TEST(FuzzParsers, SyncFrameRandomBytes) {
-    // decode_frame is the parser the synchronizer feeds with anything the
+    // The frame decoder is what the synchronizer feeds with anything the
     // faulty network delivers: random soup must either fail with a typed
     // WireError or (checksum-collision odds aside) decode — never crash.
     Rng rng(5008);
@@ -133,7 +127,8 @@ TEST(FuzzParsers, SyncFrameRandomBytes) {
         std::vector<std::uint8_t> bytes(rng.below(64));
         for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.below(256));
         try {
-            (void)decode_frame(bytes, 1 + rng.below(8));
+            std::vector<std::uint64_t> stamp(1 + rng.below(8));
+            (void)decode_frame_into(bytes, stamp);
         } catch (const WireError&) {
             ++rejects;
         }
@@ -148,7 +143,9 @@ TEST(FuzzParsers, SyncFrameMutatedValidFrames) {
         .sequence = 77,
         .message = 12,
         .stamp = VectorTimestamp(std::vector<std::uint64_t>{9, 200, 0, 3})};
-    const auto bytes = encode_frame(valid);
+    std::vector<std::uint8_t> bytes;
+    encode_frame_into(valid.sequence, valid.message,
+                      valid.stamp.components(), bytes);
     for (int trial = 0; trial < 1000; ++trial) {
         auto mutated = bytes;
         const std::size_t edits = 1 + rng.below(4);
@@ -168,7 +165,13 @@ TEST(FuzzParsers, SyncFrameMutatedValidFrames) {
             }
         }
         try {
-            const SyncFrame decoded = decode_frame(mutated, 4);
+            SyncFrame decoded{.sequence = 0,
+                              .message = 0,
+                              .stamp = VectorTimestamp(4)};
+            const FrameHeader header =
+                decode_frame_into(mutated, decoded.stamp.mutable_components());
+            decoded.sequence = header.sequence;
+            decoded.message = header.message;
             // Only possible when the edits cancelled out exactly.
             EXPECT_EQ(decoded, valid);
         } catch (const WireError&) {

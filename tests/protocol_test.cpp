@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "clocks/online_clock.hpp"
@@ -541,6 +542,61 @@ TEST(ProtocolChaos, BandwidthShapingDelaysButNeverChangesStamps) {
     EXPECT_GT(metrics.counter("bsched_admitted").value(), 0u);
     EXPECT_EQ(metrics.counter("bsched_deferrals").value(),
               b.protocol.bsched_deferrals);
+}
+
+TEST(ProtocolChaos, EveryCorruptedPacketIsRejectedOnce) {
+    // Corruption accounting must be exact on every receive path: each
+    // packet the network damages — a bare frame, or a v4 container
+    // whether the damage lands in an inner frame, the entry table or the
+    // outer trailer — is exactly one reject, and retransmission still
+    // realizes stamps bit-identical to the Fig. 5 oracle.
+    const Graph topology = topology::client_server(2, 4);
+    const SyncComputation script =
+        testing::random_workload(topology, 60, 0.0, 404);
+    auto decomposition = std::make_shared<const EdgeDecomposition>(
+        default_decomposition(topology));
+    OnlineTimestamper direct(decomposition);
+    const std::vector<VectorTimestamp> expected =
+        direct.timestamp_computation(script);
+
+    ProtocolOptions classic;
+    ProtocolOptions batch;
+    batch.batching = true;
+    batch.coalesce_acks = true;
+    ProtocolOptions batch_delta = batch;
+    batch_delta.delta = true;
+    const std::pair<const char*, ProtocolOptions> paths[] = {
+        {"classic", classic}, {"batch", batch}, {"batch+delta", batch_delta}};
+    for (const auto& [name, protocol] : paths) {
+        std::uint64_t corrupted = 0;
+        std::uint64_t containers = 0;
+        for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+            SynchronizerOptions options;
+            options.seed = seed;
+            options.latency_lo = 1;
+            options.latency_hi = 6;
+            options.protocol = protocol;
+            options.faults.seed = 0xC0DE + seed;
+            options.faults.corrupt_probability = 0.1;
+            options.faults.drop_probability = 0.03;
+            options.faults.delay_probability = 0.2;
+            options.faults.max_extra_delay = 10;
+            obs::MetricsRegistry metrics;
+            options.metrics = &metrics;
+            const SynchronizerResult result =
+                run_rendezvous_protocol(decomposition, script, options);
+            expect_oracle_stamps(result, expected);
+            ASSERT_EQ(metrics.counter("net_packets_corrupted").value(),
+                      metrics.counter("sync_frames_corrupt_rejected").value())
+                << name << " seed " << seed;
+            corrupted += metrics.counter("net_packets_corrupted").value();
+            containers += result.protocol.batch_packets;
+        }
+        EXPECT_GT(corrupted, 0u) << name;
+        if (protocol.batching) {
+            EXPECT_GT(containers, 0u) << name;
+        }
+    }
 }
 
 TEST(ProtocolChaos, MetricsAndTraceRecordExtensionActivity) {
